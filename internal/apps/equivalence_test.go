@@ -29,7 +29,6 @@ func measureMode(t *testing.T, b apps.Benchmark, cfg radram.Config, pages float6
 		t.Fatalf("%s: build pair: %v", b.Name(), err)
 	}
 	for _, m := range []*run.Machine{conv, rad} {
-		m.CPU.ForceScalar = reference
 		m.Hier.Reference = reference
 		if tr != nil {
 			m.EnableTracing(tr)

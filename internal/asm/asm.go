@@ -49,12 +49,6 @@ type Image struct {
 	Symbols  map[string]uint64
 }
 
-// SymbolAddr looks up a label, for tests and tools.
-func (im *Image) SymbolAddr(name string) (uint64, bool) {
-	a, ok := im.Symbols[name]
-	return a, ok
-}
-
 // Error is an assembly diagnostic tied to a source line.
 type Error struct {
 	Line int

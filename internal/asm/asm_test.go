@@ -131,7 +131,7 @@ func TestLaResolvesDataLabel(t *testing.T) {
 		lw r2, 0(r1)
 		halt
 	`)
-	addr, ok := img.SymbolAddr("table")
+	addr, ok := img.Symbols["table"]
 	if !ok {
 		t.Fatal("table symbol missing")
 	}
@@ -181,7 +181,7 @@ func TestDataDirectives(t *testing.T) {
 	if string(b[8:11]) != "hi\x00" {
 		t.Errorf(".asciiz wrong: %q", b[8:11])
 	}
-	alignedAddr, _ := img.SymbolAddr("aligned")
+	alignedAddr, _ := img.Symbols["aligned"]
 	if alignedAddr%4 != 0 {
 		t.Errorf("aligned label at %#x", alignedAddr)
 	}

@@ -57,9 +57,6 @@ func New(cfg Config) *Bus {
 	return &Bus{cfg: cfg, hist: obs.NewHistogram()}
 }
 
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // Observe registers the bus's counters under prefix (e.g. "mem.bus").
 func (b *Bus) Observe(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".transfers", func() uint64 { return b.Stats.Transfers })

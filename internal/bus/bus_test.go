@@ -52,8 +52,8 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestDefaultsAppliedForZeroConfig(t *testing.T) {
 	b := New(Config{})
-	if b.Config().WordBytes != 4 || b.Config().BeatTime != 10*sim.Nanosecond {
-		t.Fatalf("zero config not defaulted: %+v", b.Config())
+	if b.cfg.WordBytes != 4 || b.cfg.BeatTime != 10*sim.Nanosecond {
+		t.Fatalf("zero config not defaulted: %+v", b.cfg)
 	}
 }
 

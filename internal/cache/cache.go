@@ -87,10 +87,8 @@ type Cache struct {
 	setShift  uint
 	setMask   uint64
 	setsPow2  bool
-	// mru[set] is the way hit most recently, checked before the full scan.
-	mru   []int32
-	clock uint64 // LRU sequence source
-	Stats Stats
+	clock     uint64 // LRU sequence source
+	Stats     Stats
 	// OnMiss, when set, is invoked on every miss with the missing address —
 	// the tracing hook. It must be nil when tracing is off so the miss path
 	// pays only a nil check; the hit paths never consult it.
@@ -109,7 +107,7 @@ func New(cfg Config) *Cache {
 	for i := range sets {
 		sets[i] = backing[uint64(i)*uint64(cfg.Assoc) : (uint64(i)+1)*uint64(cfg.Assoc)]
 	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets, mru: make([]int32, nsets)}
+	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
 	c.lineShift = uint(bits.TrailingZeros64(cfg.LineBytes))
 	if nsets&(nsets-1) == 0 {
 		c.setsPow2 = true
@@ -118,9 +116,6 @@ func New(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() uint64 { return c.cfg.LineBytes }
@@ -150,24 +145,12 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	set, tag := c.locate(addr)
 	c.clock++
 	ways := c.sets[set]
-	// MRU fast path: repeated accesses to the hottest way of a set skip the
-	// associativity scan. Hitting any way is the same state transition
-	// whichever order the ways are probed in, so this cannot change stats.
-	if m := c.mru[set]; ways[m].valid && ways[m].tag == tag {
-		ways[m].lru = c.clock
-		if write {
-			ways[m].dirty = true
-		}
-		c.Stats.Hits++
-		return Result{Hit: true}
-	}
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
 			if write {
 				ways[i].dirty = true
 			}
-			c.mru[set] = int32(i)
 			c.Stats.Hits++
 			return Result{Hit: true}
 		}
@@ -194,29 +177,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		c.Stats.Writebacks++
 	}
 	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
-	c.mru[set] = int32(victim)
 	return res
-}
-
-// AccessFast is the MRU-only hit path: if the line containing addr is the
-// most recently used way of its set, it performs the access (identically to
-// Access) and reports true. Otherwise it reports false having changed
-// nothing, and the caller must fall back to Access. This keeps the
-// single-access fast path small enough to inline.
-func (c *Cache) AccessFast(addr uint64, write bool) bool {
-	set, tag := c.locate(addr)
-	ways := c.sets[set]
-	m := c.mru[set]
-	if !ways[m].valid || ways[m].tag != tag {
-		return false
-	}
-	c.clock++
-	ways[m].lru = c.clock
-	if write {
-		ways[m].dirty = true
-	}
-	c.Stats.Hits++
-	return true
 }
 
 // RepeatHit charges n further accesses to the line containing addr, which
@@ -238,7 +199,6 @@ func (c *Cache) RepeatHit(addr uint64, n uint64, write bool) {
 			if write {
 				ways[i].dirty = true
 			}
-			c.mru[set] = int32(i)
 			c.Stats.Hits += n
 			return
 		}
@@ -277,7 +237,6 @@ func (c *Cache) StreamRepeat(addrs, counts []uint64, writes []bool, k uint64) ui
 				if writes[j] {
 					ways[i].dirty = true
 				}
-				c.mru[set] = int32(i)
 				break
 			}
 		}
@@ -290,18 +249,6 @@ func (c *Cache) StreamRepeat(addrs, counts []uint64, writes []bool, k uint64) ui
 // lineAddr reconstructs the base address of a line from set and tag.
 func (c *Cache) lineAddr(set, tag uint64) uint64 {
 	return (tag*c.nsets + set) * c.cfg.LineBytes
-}
-
-// Lookup reports whether the line containing addr is resident without
-// touching LRU state or statistics.
-func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.locate(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
 }
 
 // LinesIn returns the number of distinct cache lines spanned by [addr,
@@ -352,17 +299,4 @@ func (c *Cache) Flush() uint64 {
 		}
 	}
 	return dirty
-}
-
-// ResidentLines counts valid lines, mostly for tests.
-func (c *Cache) ResidentLines() int {
-	n := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid {
-				n++
-			}
-		}
-	}
-	return n
 }

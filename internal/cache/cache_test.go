@@ -11,6 +11,31 @@ func tiny() *Cache {
 	return New(Config{Name: "T", SizeBytes: 256, LineBytes: 32, Assoc: 2})
 }
 
+// lookup reports whether the line containing addr is resident without
+// touching LRU state or statistics.
+func lookup(c *Cache, addr uint64) bool {
+	set, tag := c.locate(addr)
+	for _, w := range c.sets[set] {
+		if w.valid && w.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+// residentLines counts valid lines.
+func residentLines(c *Cache) int {
+	n := 0
+	for _, set := range c.sets {
+		for _, w := range set {
+			if w.valid {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "a", SizeBytes: 0, LineBytes: 32, Assoc: 2},
@@ -56,13 +81,13 @@ func TestLRUReplacement(t *testing.T) {
 	c.Access(128, false) // way B
 	c.Access(0, false)   // touch A: B is now LRU
 	c.Access(256, false) // evicts B
-	if !c.Lookup(0) {
+	if !lookup(c, 0) {
 		t.Fatal("MRU line evicted")
 	}
-	if c.Lookup(128) {
+	if lookup(c, 128) {
 		t.Fatal("LRU line survived")
 	}
-	if !c.Lookup(256) {
+	if !lookup(c, 256) {
 		t.Fatal("new line absent")
 	}
 }
@@ -111,10 +136,10 @@ func TestInvalidateRange(t *testing.T) {
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
-	if c.Lookup(0) || c.Lookup(32) {
+	if lookup(c, 0) || lookup(c, 32) {
 		t.Fatal("invalidated line still resident")
 	}
-	if !c.Lookup(64) {
+	if !lookup(c, 64) {
 		t.Fatal("line outside range invalidated")
 	}
 	if c.Stats.Invalidates != 2 {
@@ -143,7 +168,7 @@ func TestFlush(t *testing.T) {
 	if dirty != 1 {
 		t.Fatalf("dirty on flush = %d, want 1", dirty)
 	}
-	if c.ResidentLines() != 0 {
+	if residentLines(c) != 0 {
 		t.Fatal("flush left lines resident")
 	}
 }
@@ -187,7 +212,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		for _, a := range addrs {
 			c.Access(uint64(a), a%2 == 0)
 		}
-		return c.ResidentLines() <= 8 // 4 sets x 2 ways
+		return residentLines(c) <= 8 // 4 sets x 2 ways
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ func fastCfg() Config {
 }
 
 // drainTrace drives both caches with the same random tail and compares
-// every result, proving their internal state (LRU order, dirty bits, MRU)
+// every result, proving their internal state (LRU order, dirty bits)
 // ended up identical.
 func drainTrace(t *testing.T, rng *rand.Rand, fast, ref *Cache) {
 	t.Helper()
@@ -26,43 +26,6 @@ func drainTrace(t *testing.T, rng *rand.Rand, fast, ref *Cache) {
 	}
 	if fast.Stats != ref.Stats {
 		t.Fatalf("stats diverged: %+v vs %+v", fast.Stats, ref.Stats)
-	}
-}
-
-// TestAccessFastEquivalence proves the MRU-only fast path composed with
-// the Access fallback is indistinguishable from always calling Access.
-func TestAccessFastEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	fast, ref := New(fastCfg()), New(fastCfg())
-	for i := 0; i < 20000; i++ {
-		// Small working set so the MRU path hits often.
-		addr := uint64(rng.Intn(512)) * 32
-		write := rng.Intn(3) == 0
-		if !fast.AccessFast(addr, write) {
-			fast.Access(addr, write)
-		}
-		ref.Access(addr, write)
-		if fast.Stats != ref.Stats {
-			t.Fatalf("step %d: stats %+v, want %+v", i, fast.Stats, ref.Stats)
-		}
-	}
-	drainTrace(t, rng, fast, ref)
-}
-
-// TestAccessFastMissMutatesNothing proves a failed fast-path probe leaves
-// no trace.
-func TestAccessFastMissMutatesNothing(t *testing.T) {
-	c := New(fastCfg())
-	c.Access(0, false)
-	before := c.Stats
-	if c.AccessFast(1<<20, true) {
-		t.Fatal("AccessFast hit a line that was never loaded")
-	}
-	if c.Stats != before {
-		t.Fatalf("failed probe changed stats: %+v -> %+v", before, c.Stats)
-	}
-	if !c.Lookup(0) {
-		t.Fatal("failed probe evicted the resident line")
 	}
 }
 
@@ -103,30 +66,13 @@ func TestRepeatHitAbsentLineFallsBack(t *testing.T) {
 	}
 }
 
-func BenchmarkCacheAccess(b *testing.B) {
-	c := New(Config{Name: "L1D", SizeBytes: 64 * 1024, LineBytes: 32, Assoc: 2})
-	c.Access(0, false)
-	b.Run("mru-hit", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Access(0, false)
-		}
-	})
-	b.Run("fast-hit", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.AccessFast(0, false)
-		}
-	})
-}
-
 // TestAccessZeroAllocs pins the zero-allocation contract of the hot path.
 func TestAccessZeroAllocs(t *testing.T) {
 	c := New(fastCfg())
 	c.Access(0, false)
 	if n := testing.AllocsPerRun(100, func() {
 		c.Access(0, false)
-		c.AccessFast(0, true)
+		c.Access(0, true)
 		c.RepeatHit(0, 4, false)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v times per op", n)

@@ -8,12 +8,11 @@
 // tags advanced by that shift and LRU stamps advanced by the period's clock
 // increment — in any way order — the cache's behavior over the next period
 // is the previous period's behavior translated by Δ: hit/miss outcomes, the
-// victim choices, writeback addresses (shifted by Δ), MRU fast-path
-// outcomes, and statistics increments all repeat. Way order is free because
-// every observable of the model (victim selection by minimum stamp,
-// writeback address, MRU correspondence) is invariant under permuting a
-// set's ways, and stamps within a set are distinct, so the value-matching
-// below identifies a unique correspondence.
+// victim choices, writeback addresses (shifted by Δ), and statistics
+// increments all repeat. Way order is free because every observable of the
+// model (victim selection by minimum stamp, writeback address) is invariant
+// under permuting a set's ways, and stamps within a set are distinct, so
+// the value-matching below identifies a unique correspondence.
 //
 // The verification is the soundness condition: it admits only sets whose
 // every valid line is part of the advancing conveyor. A stationary valid
@@ -49,7 +48,6 @@ func (c *Cache) SetIndex(addr uint64) uint64 {
 // captured at stream period boundaries.
 type FoldSnapshot struct {
 	lines []line
-	mru   []int32
 	clock uint64
 	stats Stats
 }
@@ -60,7 +58,7 @@ func (s *FoldSnapshot) Stats() Stats { return s.stats }
 // Bytes estimates the snapshot's host-memory footprint, for checkpoint
 // cache accounting.
 func (s *FoldSnapshot) Bytes() uint64 {
-	return uint64(len(s.lines))*32 + uint64(len(s.mru))*4
+	return uint64(len(s.lines)) * 32
 }
 
 // Clock returns the LRU clock captured with the snapshot.
@@ -78,11 +76,6 @@ func (c *Cache) SnapshotInto(s *FoldSnapshot) {
 	for i, set := range c.sets {
 		copy(s.lines[i*assoc:(i+1)*assoc], set)
 	}
-	if cap(s.mru) < int(c.nsets) {
-		s.mru = make([]int32, c.nsets)
-	}
-	s.mru = s.mru[:c.nsets]
-	copy(s.mru, c.mru)
 	s.clock = c.clock
 	s.stats = c.Stats
 }
@@ -97,7 +90,6 @@ func (c *Cache) Restore(s *FoldSnapshot) {
 	for i, set := range c.sets {
 		copy(set, s.lines[i*assoc:(i+1)*assoc])
 	}
-	copy(c.mru, s.mru)
 	c.clock = s.clock
 	c.Stats = s.stats
 }
@@ -111,10 +103,9 @@ func touchedBit(touched []uint64, s uint64) bool {
 // advanced by exactly one stream period: every set marked in the touched
 // bitmap (one bit per set) holds the previous snapshot's valid lines with
 // tags advanced by tagShift and LRU stamps by clockDelta — way placement
-// free, dirty bits preserved, MRU correspondence maintained — and every
-// unmarked set is untouched. tagShift is signed to support descending
-// streams (tags advance downward); arithmetic wraps identically on both
-// sides of the comparison.
+// free, dirty bits preserved — and every unmarked set is untouched.
+// tagShift is signed to support descending streams (tags advance
+// downward); arithmetic wraps identically on both sides of the comparison.
 func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift int64, clockDelta uint64) bool {
 	assoc := c.cfg.Assoc
 	if len(prev.lines) != int(c.nsets)*assoc || c.clock-prev.clock != clockDelta {
@@ -132,9 +123,6 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 				if cur[i] != old[i] {
 					return false
 				}
-			}
-			if c.mru[s] != prev.mru[s] {
-				return false
 			}
 			continue
 		}
@@ -169,16 +157,6 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 			}
 		}
 		if nOld != nCur {
-			return false
-		}
-		// MRU correspondence: the most-recently-used way must point at the
-		// shifted image of the previous MRU line (or at an invalid way on
-		// both sides — AccessFast misses either way).
-		pm, cm := old[prev.mru[s]], cur[c.mru[s]]
-		if pm.valid != cm.valid {
-			return false
-		}
-		if pm.valid && (cm.tag != pm.tag+uint64(tagShift) || cm.lru != pm.lru+clockDelta) {
 			return false
 		}
 	}

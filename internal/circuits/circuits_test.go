@@ -25,8 +25,8 @@ func TestTable3LECounts(t *testing.T) {
 		if relErr(float64(r.LEs), float64(want.LEs)) > 0.10 {
 			t.Errorf("%s: %d LEs, paper reports %d (>10%% off)", r.Name, r.LEs, want.LEs)
 		}
-		if err := logic.CheckBudget(r); err != nil {
-			t.Errorf("%s exceeds the page budget: %v", r.Name, err)
+		if !r.FitsBudget() {
+			t.Errorf("%s needs %d LEs, over the %d-LE page budget", r.Name, r.LEs, logic.PageLEBudget)
 		}
 	}
 }

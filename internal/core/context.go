@@ -28,9 +28,6 @@ type PageContext struct {
 	readyAt sim.Time
 }
 
-// Page returns the page being operated on.
-func (ctx *PageContext) Page() *Page { return ctx.page }
-
 // Size returns the page size in bytes.
 func (ctx *PageContext) Size() uint64 { return ctx.sys.cfg.PageBytes }
 

@@ -151,9 +151,6 @@ type Page struct {
 	BusyTime       sim.Duration // logic time consumed (T_C)
 }
 
-// DoneAt returns when the page's last activation completes.
-func (p *Page) DoneAt() sim.Time { return p.doneAt }
-
 // Group returns the page's group id.
 func (p *Page) Group() GroupID { return p.group.id }
 
@@ -259,9 +256,6 @@ func NewSystem(cfg Config, cpu *proc.CPU) (*System, error) {
 // Passing nil disables it.
 func (s *System) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Observe registers the Active-Page system's counters under prefix
 // (conventionally "ap").
 func (s *System) Observe(r *obs.Registry, prefix string) {
@@ -284,9 +278,6 @@ func (s *System) LogicClock() sim.Clock { return s.logicClock }
 
 // Backend returns the system's compute backend.
 func (s *System) Backend() backend.ComputeBackend { return s.backend }
-
-// Geometry returns the superpage geometry.
-func (s *System) Geometry() mem.Geometry { return s.geom }
 
 // Alloc allocates an Active Page at vaddr into group id (AP_alloc). The
 // address must be superpage-aligned and not already allocated.

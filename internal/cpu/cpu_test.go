@@ -390,7 +390,13 @@ func TestBimodalPredictorLearnsLoop(t *testing.T) {
 		return c
 	}
 	static := run(DefaultConfig())
-	bimodal := run(BimodalConfig())
+	bimodal := run(Config{
+		ClockHz:            1_000_000_000,
+		TakenBranchPenalty: 1,
+		Bimodal:            true,
+		BimodalEntries:     2048,
+		MispredictPenalty:  4,
+	})
 	// A 2000-iteration loop branch is almost always taken: the bimodal
 	// predictor should mispredict only at the ends.
 	if bimodal.Stats.Mispredicts > 4 {

@@ -248,7 +248,7 @@ func TestStrrevKernel(t *testing.T) {
 	if _, err := c.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	addr, ok := img.SymbolAddr("str")
+	addr, ok := img.Symbols["str"]
 	if !ok {
 		t.Fatal("str symbol missing")
 	}

@@ -1,62 +1,35 @@
 package dram
 
-import "activepages/internal/obs"
+import (
+	"maps"
+
+	"activepages/internal/obs"
+)
 
 // Checkpoint is a deep-copy snapshot of the device's full simulated state:
-// the open-row table (dense slice plus overflow map), the last-access
-// cache, the statistics, and the latency histogram. Restoring it into a
-// device of the same configuration resumes simulation byte-identically.
+// the open-row table, the statistics, and the latency histogram. Restoring
+// it into a device of the same configuration resumes simulation
+// byte-identically.
 type Checkpoint struct {
-	openRow  []int64
-	overflow map[uint64]uint64
-	lastSub  uint64
-	lastRow  int64
-	haveLast bool
-	stats    Stats
-	hist     obs.HistCheckpoint
+	openRow map[uint64]int64
+	stats   Stats
+	hist    obs.HistCheckpoint
 }
 
 // Bytes estimates the checkpoint's host-memory footprint, for cache
 // accounting.
-func (c Checkpoint) Bytes() uint64 {
-	return uint64(len(c.openRow))*8 + uint64(len(c.overflow))*16
-}
+func (c Checkpoint) Bytes() uint64 { return uint64(len(c.openRow)) * 16 }
 
 // Checkpoint captures the device state.
 func (d *Device) Checkpoint() Checkpoint {
-	c := Checkpoint{
-		lastSub:  d.lastSub,
-		lastRow:  d.lastRow,
-		haveLast: d.haveLast,
-		stats:    d.Stats,
-		hist:     d.hist.Checkpoint(),
-	}
-	if len(d.openRow) > 0 {
-		c.openRow = append([]int64(nil), d.openRow...)
-	}
-	if len(d.overflow) > 0 {
-		c.overflow = make(map[uint64]uint64, len(d.overflow))
-		for k, v := range d.overflow {
-			c.overflow[k] = v
-		}
-	}
-	return c
+	return Checkpoint{openRow: maps.Clone(d.openRow), stats: d.Stats, hist: d.hist.Checkpoint()}
 }
 
 // Restore overwrites the device state with a checkpoint taken from a
-// device of the same configuration. The checkpoint's slices are copied, so
+// device of the same configuration. The checkpoint's table is copied, so
 // one checkpoint can seed any number of branches.
 func (d *Device) Restore(c Checkpoint) {
-	d.openRow = append(d.openRow[:0], c.openRow...)
-	if len(c.overflow) == 0 {
-		d.overflow = nil
-	} else {
-		d.overflow = make(map[uint64]uint64, len(c.overflow))
-		for k, v := range c.overflow {
-			d.overflow[k] = v
-		}
-	}
-	d.lastSub, d.lastRow, d.haveLast = c.lastSub, c.lastRow, c.haveLast
+	d.openRow = maps.Clone(c.openRow)
 	d.Stats = c.stats
 	d.hist.Restore(c.hist)
 }

@@ -71,25 +71,13 @@ type Stats struct {
 	Refreshes uint64
 }
 
-// maxDenseSubarrays caps the lazily-grown dense open-row table. With the
-// paper's 64 KB scaled subarrays this covers an 8 GB address space in 1 MB
-// of host memory; anything beyond spills to the overflow map.
-const maxDenseSubarrays = 1 << 17
-
 // Device is the DRAM timing model. Contents live in the mem.Store; the
 // device tracks only open rows per subarray.
 type Device struct {
 	cfg Config
-	// openRow holds each subarray's open row index, -1 when closed. It is a
-	// lazily-grown dense slice indexed by subarray number; subarrays past
-	// maxDenseSubarrays live in overflow instead.
-	openRow  []int64
-	overflow map[uint64]uint64
-	// lastSub/lastRow cache the most recent access: sequential sweeps hit
-	// the same row repeatedly and never touch the table.
-	lastSub  uint64
-	lastRow  int64
-	haveLast bool
+	// openRow maps each touched subarray to its open row index; a subarray
+	// absent from the map has no open row.
+	openRow map[uint64]int64
 	// subShift/rowShift/subMask precompute the power-of-two address splits.
 	subShift uint
 	rowShift uint
@@ -112,6 +100,7 @@ func New(cfg Config) *Device {
 	}
 	return &Device{
 		cfg:      cfg,
+		openRow:  make(map[uint64]int64),
 		subShift: uint(bits.TrailingZeros64(cfg.SubarrayBytes)),
 		rowShift: uint(bits.TrailingZeros64(cfg.RowBytes)),
 		subMask:  cfg.SubarrayBytes - 1,
@@ -148,27 +137,15 @@ func (d *Device) AccessTime(addr uint64) sim.Duration {
 	}
 	sub := addr >> d.subShift
 	row := int64((addr & d.subMask) >> d.rowShift)
-	if d.haveLast && sub == d.lastSub && row == d.lastRow {
-		return d.rowHit(addr)
+	if open, ok := d.openRow[sub]; ok && open == row {
+		d.Stats.RowHits++
+		d.hist.Observe(d.cfg.RowHitTime)
+		if d.OnAccess != nil {
+			d.OnAccess(addr, true, d.cfg.RowHitTime)
+		}
+		return d.cfg.RowHitTime
 	}
-	d.lastSub, d.lastRow, d.haveLast = sub, row, true
-	if sub < maxDenseSubarrays {
-		if sub >= uint64(len(d.openRow)) {
-			d.growDense(sub)
-		}
-		if d.openRow[sub] == row {
-			return d.rowHit(addr)
-		}
-		d.openRow[sub] = row
-	} else {
-		if d.overflow == nil {
-			d.overflow = make(map[uint64]uint64)
-		}
-		if open, ok := d.overflow[sub]; ok && open == uint64(row) {
-			return d.rowHit(addr)
-		}
-		d.overflow[sub] = uint64(row)
-	}
+	d.openRow[sub] = row
 	d.Stats.RowMisses++
 	d.hist.Observe(d.cfg.AccessTime)
 	if d.OnAccess != nil {
@@ -177,43 +154,8 @@ func (d *Device) AccessTime(addr uint64) sim.Duration {
 	return d.cfg.AccessTime
 }
 
-// rowHit accounts one open-row access to addr.
-func (d *Device) rowHit(addr uint64) sim.Duration {
-	d.Stats.RowHits++
-	d.hist.Observe(d.cfg.RowHitTime)
-	if d.OnAccess != nil {
-		d.OnAccess(addr, true, d.cfg.RowHitTime)
-	}
-	return d.cfg.RowHitTime
-}
-
-// growDense extends the dense open-row table to cover sub, doubling so
-// growth is amortized, with new entries closed (-1).
-func (d *Device) growDense(sub uint64) {
-	n := uint64(len(d.openRow))
-	if n == 0 {
-		n = 64
-	}
-	for n <= sub {
-		n *= 2
-	}
-	n = min(n, maxDenseSubarrays)
-	grown := make([]int64, n)
-	copy(grown, d.openRow)
-	for i := len(d.openRow); i < int(n); i++ {
-		grown[i] = -1
-	}
-	d.openRow = grown
-}
-
 // CloseAll closes every open row (e.g. after a refresh burst).
-func (d *Device) CloseAll() {
-	for i := range d.openRow {
-		d.openRow[i] = -1
-	}
-	clear(d.overflow)
-	d.haveLast = false
-}
+func (d *Device) CloseAll() { clear(d.openRow) }
 
 // RefreshOverhead reports the fraction of time a subarray is unavailable due
 // to refresh, as a pure ratio. The per-subarray logic added by RADram is

@@ -8,15 +8,10 @@
 // which are subarray-relative — are unchanged), and then fast-forwards: it
 // multiplies the statistics and latency-histogram deltas and replays only
 // the open-row state the folded periods would have left, using the
-// accessors below. lastSub/lastRow need no special treatment beyond
-// SetLast: the access path keeps them consistent with the open-row table,
-// so they are a pure lookup cache with no independent observable state.
+// accessors below.
 package dram
 
 import "activepages/internal/obs"
-
-// RowBytes returns the row size.
-func (d *Device) RowBytes() uint64 { return d.cfg.RowBytes }
 
 // SubarrayBytes returns the subarray size.
 func (d *Device) SubarrayBytes() uint64 { return d.cfg.SubarrayBytes }
@@ -29,43 +24,15 @@ func (d *Device) Row(addr uint64) int64 {
 // OpenRow reports the open row of subarray sub, or -1 when closed or never
 // touched. It does not disturb any state.
 func (d *Device) OpenRow(sub uint64) int64 {
-	if sub < maxDenseSubarrays {
-		if sub < uint64(len(d.openRow)) {
-			return d.openRow[sub]
-		}
-		return -1
-	}
-	if open, ok := d.overflow[sub]; ok {
-		return int64(open)
+	if open, ok := d.openRow[sub]; ok {
+		return open
 	}
 	return -1
 }
 
 // SetOpenRow records row as the open row of subarray sub, exactly as an
-// access to that row would have, without touching statistics or the
-// last-access cache.
-func (d *Device) SetOpenRow(sub uint64, row int64) {
-	if sub < maxDenseSubarrays {
-		if sub >= uint64(len(d.openRow)) {
-			d.growDense(sub)
-		}
-		d.openRow[sub] = row
-		return
-	}
-	if d.overflow == nil {
-		d.overflow = make(map[uint64]uint64)
-	}
-	d.overflow[sub] = uint64(row)
-}
-
-// SetLast installs the last-access cache as an access to addr would have
-// left it. The caller must have already recorded addr's row as open via
-// SetOpenRow, preserving the invariant that the cache mirrors the table.
-func (d *Device) SetLast(addr uint64) {
-	d.lastSub = addr >> d.subShift
-	d.lastRow = d.Row(addr)
-	d.haveLast = true
-}
+// access to that row would have, without touching statistics.
+func (d *Device) SetOpenRow(sub uint64, row int64) { d.openRow[sub] = row }
 
 // AddFoldStats adds periods repetitions of the per-period statistics delta.
 // The latency histogram is advanced separately via AddHistDelta.

@@ -80,11 +80,11 @@ func TestFigure3And4Render(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3 := Figure3([]*Sweep{s}).String()
+	f3 := Figure3For([]*Sweep{s}, "RADram").String()
 	if !strings.Contains(f3, "Figure 3") || !strings.Contains(f3, "database") {
 		t.Error("figure 3 rendering broken")
 	}
-	f4 := Figure4([]*Sweep{s}).String()
+	f4 := Figure4For([]*Sweep{s}, "RADram").String()
 	if !strings.Contains(f4, "stalled") {
 		t.Error("figure 4 rendering broken")
 	}
@@ -311,7 +311,7 @@ func TestCrossoverStudyConsistent(t *testing.T) {
 // metrics snapshot must not depend on the worker count.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	pages := []float64{0.5, 2, 8}
-	serial := run.Serial().WithMetrics()
+	serial := (&run.Runner{Jobs: 1}).WithMetrics()
 	s1, err := RunAllSweeps(serial, DefaultConfig(), pages)
 	if err != nil {
 		t.Fatal(err)
@@ -321,10 +321,10 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := Figure3(s2).String(), Figure3(s1).String(); got != want {
+	if got, want := Figure3For(s2, "RADram").String(), Figure3For(s1, "RADram").String(); got != want {
 		t.Errorf("parallel Figure 3 differs from serial:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := Figure4(s2).String(), Figure4(s1).String(); got != want {
+	if got, want := Figure4For(s2, "RADram").String(), Figure4For(s1, "RADram").String(); got != want {
 		t.Errorf("parallel Figure 4 differs from serial")
 	}
 	j1, err := serial.Metrics.Snapshot().JSON()

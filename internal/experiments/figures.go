@@ -10,11 +10,6 @@ import (
 	"activepages/internal/tabler"
 )
 
-// Figure3 renders the speedup-versus-problem-size sweep for RADram.
-func Figure3(sweeps []*Sweep) *tabler.Figure {
-	return Figure3For(sweeps, "RADram")
-}
-
 // Figure3For renders the speedup sweep for the named Active-Page
 // backend.
 func Figure3For(sweeps []*Sweep, label string) *tabler.Figure {
@@ -28,11 +23,6 @@ func Figure3For(sweeps []*Sweep, label string) *tabler.Figure {
 		f.Add(s.Benchmark, s.Speedups())
 	}
 	return f
-}
-
-// Figure4 renders the processor-stall sweep for RADram.
-func Figure4(sweeps []*Sweep) *tabler.Figure {
-	return Figure4For(sweeps, "RADram")
 }
 
 // Figure4For renders the processor-stall sweep for the named backend.

@@ -114,12 +114,6 @@ func (w *StatusWriter) Flush() {
 	}
 }
 
-// Status returns the captured response status (0 until the handler writes).
-func (w *StatusWriter) Status() int { return w.status }
-
-// Bytes returns how many body bytes the handler wrote.
-func (w *StatusWriter) Bytes() int { return w.bytes }
-
 // Instrument is one daemon's HTTP instrumentation: request/error/panic
 // counters and per-route latency histograms registered into a live
 // registry under a daemon-specific prefix ("serve." for shards, "router."
@@ -144,12 +138,6 @@ func NewInstrument(log *slog.Logger, live *obs.Registry, prefix string) *Instrum
 	live.Counter(prefix+"http_panics", m.panics.Load)
 	return m
 }
-
-// Requests returns how many instrumented requests completed.
-func (m *Instrument) Requests() uint64 { return m.requests.Load() }
-
-// Errors returns how many requests answered with a 5xx status.
-func (m *Instrument) Errors() uint64 { return m.errors.Load() }
 
 // Panics returns how many handler panics the recoverer converted to 500s.
 func (m *Instrument) Panics() uint64 { return m.panics.Load() }

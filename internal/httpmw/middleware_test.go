@@ -160,8 +160,8 @@ func TestStatusWriterFlush(t *testing.T) {
 	if !rec.Flushed {
 		t.Error("Flush not forwarded to underlying writer")
 	}
-	if sw.Status() != http.StatusOK || sw.Bytes() != 1 {
-		t.Errorf("status=%d bytes=%d, want 200/1", sw.Status(), sw.Bytes())
+	if sw.status != http.StatusOK || sw.bytes != 1 {
+		t.Errorf("status=%d bytes=%d, want 200/1", sw.status, sw.bytes)
 	}
 	// A writer without Flusher support must not panic.
 	plain := &StatusWriter{ResponseWriter: nopWriter{httptest.NewRecorder()}}

@@ -277,16 +277,6 @@ func (r Report) CodeKB() float64 {
 // FitsBudget reports whether the design fits the per-page LE budget.
 func (r Report) FitsBudget() bool { return r.LEs <= PageLEBudget }
 
-// CheckBudget returns an error when the design exceeds the per-page budget,
-// mirroring the paper's constraint that "all of our designs are below this
-// amount".
-func CheckBudget(r Report) error {
-	if !r.FitsBudget() {
-		return fmt.Errorf("logic: design %s needs %d LEs, budget is %d", r.Name, r.LEs, PageLEBudget)
-	}
-	return nil
-}
-
 // ReconfigurationTime estimates how long loading the design's bitstream into
 // a page's logic takes, given the configuration port bandwidth. The paper
 // notes current FPGAs take hundreds of milliseconds for full chips and that

@@ -362,16 +362,8 @@ func NewGeometry(pageBytes uint64) (Geometry, error) {
 // PageIndex returns the superpage number containing addr.
 func (g Geometry) PageIndex(addr uint64) uint64 { return addr / g.PageBytes }
 
-// PageBase returns the first address of the superpage containing addr.
-func (g Geometry) PageBase(addr uint64) uint64 { return addr &^ (g.PageBytes - 1) }
-
 // PageOffset returns addr's offset within its superpage.
 func (g Geometry) PageOffset(addr uint64) uint64 { return addr & (g.PageBytes - 1) }
-
-// PagesFor reports how many superpages are needed to hold n bytes.
-func (g Geometry) PagesFor(n uint64) uint64 {
-	return (n + g.PageBytes - 1) / g.PageBytes
-}
 
 // Range describes a contiguous span of simulated memory.
 type Range struct {
@@ -381,13 +373,3 @@ type Range struct {
 
 // End returns the first address past the range.
 func (r Range) End() uint64 { return r.Addr + r.Len }
-
-// Overlaps reports whether r and o share any address.
-func (r Range) Overlaps(o Range) bool {
-	return r.Addr < o.End() && o.Addr < r.End()
-}
-
-// Contains reports whether addr falls inside r.
-func (r Range) Contains(addr uint64) bool {
-	return addr >= r.Addr && addr < r.End()
-}

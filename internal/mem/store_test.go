@@ -190,17 +190,8 @@ func TestGeometry(t *testing.T) {
 	if g.PageIndex(0) != 0 || g.PageIndex(DefaultPageBytes) != 1 {
 		t.Error("PageIndex wrong")
 	}
-	if g.PageBase(DefaultPageBytes+5) != DefaultPageBytes {
-		t.Error("PageBase wrong")
-	}
 	if g.PageOffset(DefaultPageBytes+5) != 5 {
 		t.Error("PageOffset wrong")
-	}
-	if g.PagesFor(1) != 1 || g.PagesFor(DefaultPageBytes) != 1 || g.PagesFor(DefaultPageBytes+1) != 2 {
-		t.Error("PagesFor wrong")
-	}
-	if g.PagesFor(0) != 0 {
-		t.Error("PagesFor(0) != 0")
 	}
 }
 
@@ -217,18 +208,6 @@ func TestRange(t *testing.T) {
 	r := Range{Addr: 100, Len: 50}
 	if r.End() != 150 {
 		t.Error("End wrong")
-	}
-	if !r.Contains(100) || !r.Contains(149) || r.Contains(150) || r.Contains(99) {
-		t.Error("Contains wrong")
-	}
-	if !r.Overlaps(Range{Addr: 140, Len: 20}) {
-		t.Error("should overlap")
-	}
-	if r.Overlaps(Range{Addr: 150, Len: 10}) {
-		t.Error("adjacent ranges should not overlap")
-	}
-	if r.Overlaps(Range{Addr: 0, Len: 100}) {
-		t.Error("preceding adjacent range should not overlap")
 	}
 }
 

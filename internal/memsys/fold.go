@@ -80,12 +80,11 @@ func (a *StreamAcc) stride(stream int64) int64 {
 // exclude — a folding run must count differently from a scalar one here
 // while every simulated observable stays identical.
 type FoldStats struct {
-	Streams       uint64 // StreamRun + NestedStreamRun invocations
-	NestedStreams uint64 // NestedStreamRun invocations (two-level patterns)
+	Streams       uint64 // StreamRun invocations
 	Folded        uint64 // invocations that fast-forwarded at least one period
 	FoldedPeriods uint64
-	FoldedIters   uint64 // innermost iterations skipped by folding
-	ScalarIters   uint64 // innermost iterations simulated scalar (incl. tails)
+	FoldedIters   uint64 // iterations skipped by folding
+	ScalarIters   uint64 // iterations simulated scalar (incl. tails)
 
 	// Fallback classification: one increment per StreamRun invocation that
 	// could not fold, by the first disqualifier hit.
@@ -224,16 +223,6 @@ func (fs *foldScratch) pushBoundary(b foldBoundary) {
 		return
 	}
 	fs.bounds[0], fs.bounds[1], fs.bounds[2] = fs.bounds[1], fs.bounds[2], b
-}
-
-// StrideStream simulates n elemBytes-wide accesses of the given kind at
-// base, base+stride, base+2·stride, …, folding the steady state when the
-// stream is long enough, and returns the total latency — exactly the sum n
-// scalar AccessRange calls would have returned, with identical final
-// hierarchy state, statistics, and histograms.
-func (h *Hierarchy) StrideStream(base, elemBytes uint64, stride int64, n uint64, kind AccessKind) sim.Duration {
-	accs := [1]StreamAcc{{Size: elemBytes, Count: 1, Kind: kind}}
-	return h.StreamRun(base, stride, n, accs[:])
 }
 
 // StreamRun simulates n iterations of a fixed-stride access pattern:
@@ -475,13 +464,6 @@ func foldNoWrap(base uint64, stride int64, n uint64, accs []StreamAcc) bool {
 		extLo = min(extLo, a.Off)
 		extHi = max(extHi, a.Off+int64(a.Size*max(a.Count, 1)))
 	}
-	return spanNoWrap(base, stride, n, extLo, extHi)
-}
-
-// spanNoWrap applies the wrap rules to a walk of n iterations whose
-// per-iteration footprint spans [extLo, extHi) relative to the iteration
-// base.
-func spanNoWrap(base uint64, stride int64, n uint64, extLo, extHi int64) bool {
 	if extLo < -(1<<40) || extHi > 1<<40 {
 		return false
 	}
@@ -576,31 +558,14 @@ func (h *Hierarchy) foldSnapshot(fs *foldScratch) {
 	h.L2.SnapshotInto(&fs.snaps[fs.cur].l2)
 }
 
-// streamFold is the warm-up / verify / fast-forward pipeline for a flat
-// stream: the generic fold core drives streamIter, and whatever it leaves
-// unsimulated runs on the batched scalar path.
+// streamFold is the warm-up / verify / fast-forward pipeline. It simulates
+// whole periods of P iterations until periodicity verifies at a boundary,
+// fast-forwards as many whole periods as the DRAM fresh-subarray guard
+// allows, and runs whatever is left on the batched scalar path.
 func (h *Hierarchy) streamFold(base uint64, stride int64, n uint64, accs []StreamAcc, P uint64, delta int64) sim.Duration {
 	fs := h.foldScratch()
 	fs.reset()
 	h.foldMarkTouched(fs, base, stride, P, accs)
-	total, iter := h.runFold(fs, n, P, delta, 1, func(i uint64) sim.Duration {
-		return h.streamIter(base, stride, i, accs)
-	})
-	h.Folds.ScalarIters += n - iter
-	total += h.streamScalar(base, stride, iter, n, accs)
-	return total
-}
-
-// runFold is the generic warm-up / verify / fast-forward core, shared by
-// flat and nested streams. It simulates whole periods of P iterations
-// through iter until periodicity verifies at a boundary, fast-forwards as
-// many whole periods as the DRAM fresh-subarray guard allows, and returns
-// the accumulated latency plus the first iteration index left unsimulated
-// (the caller runs the remainder its own way). itersPer weights the
-// FoldedIters diagnostic: how many innermost iterations one call to iter
-// stands for (1 for a flat stream). Touched-set bitmaps must be marked and
-// fs reset before the call.
-func (h *Hierarchy) runFold(fs *foldScratch, n, P uint64, delta int64, itersPer uint64, iter func(i uint64) sim.Duration) (sim.Duration, uint64) {
 	tag1 := delta / int64(h.L1D.SetSpan())
 	tag2 := delta / int64(h.L2.SetSpan())
 
@@ -615,7 +580,7 @@ func (h *Hierarchy) runFold(fs *foldScratch, n, P uint64, delta int64, itersPer 
 			break
 		}
 		for end := it + P; it < end; it++ {
-			total += iter(it)
+			total += h.streamIter(base, stride, it, accs)
 		}
 		fs.periodStart = append(fs.periodStart, len(fs.recs))
 		fs.pushBoundary(h.foldBoundaryNow(total))
@@ -636,14 +601,15 @@ func (h *Hierarchy) runFold(fs *foldScratch, n, P uint64, delta int64, itersPer 
 			it += M * P
 			h.Folds.Folded++
 			h.Folds.FoldedPeriods += M
-			h.Folds.FoldedIters += M * P * itersPer
+			h.Folds.FoldedIters += M * P
 		} else {
 			h.Folds.FallbackGuard++
 		}
 	} else {
 		h.Folds.FallbackUnverified++
 	}
-	return total, it
+	h.Folds.ScalarIters += n - it
+	return total + h.streamScalar(base, stride, it, n, accs)
 }
 
 // foldVerify checks every periodicity condition at the latest boundary.
@@ -837,214 +803,5 @@ func (h *Hierarchy) foldApply(fs *foldScratch, delta int64, tag1, tag2 int64, M 
 				h.DRAM.SetOpenRow(h.DRAM.Subarray(a+off), h.DRAM.Row(a+off))
 			}
 		}
-		h.DRAM.SetLast(fs.recs[len(fs.recs)-1].addr + uint64(delta)*M)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Nested streams: two-level fixed-stride patterns.
-
-// NestedStreamRun simulates a two-level loop nest of outerN macro-
-// iterations. Macro-iteration i, based at base + i·outerStride, first runs
-// innerN iterations of the inner pattern — entry k of accs at
-// base + i·outerStride + j·innerStride + Off for inner index j, with
-// per-entry Stride overrides honored — and then performs every entry of
-// tail once at base + i·outerStride + Off. It is exactly equivalent — in
-// returned latency, statistics, histograms, and final state — to the loop
-// that issues each macro-iteration's inner stream scalar followed by its
-// tail accesses, but the periodicity detector operates at macro-iteration
-// granularity: the inner stream is treated as the body of one outer
-// iteration, and once consecutive outer periods verify as exact
-// delta-translations (same conditions as StreamRun, with the outer period
-// delta), whole outer periods — inner iterations, tails and all —
-// fast-forward in closed form.
-//
-// This is the shape of row sweeps whose inner trip count is far below the
-// inner fold period (a stride-2 filter row is thousands of iterations
-// against a 32 Ki-iteration period) but whose rows repeat under a uniform
-// row-pitch translation: flat folding can never engage, outer folding can.
-// Inner iterations always run through the guaranteed-hit batcher, never
-// through a nested fold — the fold scratch state and DRAM recording hook
-// are single-level.
-//
-// Patterns with a stationary per-macro-iteration region (an operand re-read
-// every row at a fixed address) fail outer verification — the stationary
-// lines cannot participate in the uniform tag shift — and fall back to the
-// per-macro-iteration batched path, still byte-identical to scalar.
-func (h *Hierarchy) NestedStreamRun(base uint64, outerStride int64, outerN uint64,
-	innerStride int64, innerN uint64, accs, tail []StreamAcc) sim.Duration {
-	h.Folds.Streams++
-	h.Folds.NestedStreams++
-	if len(accs) == 0 {
-		innerN = 0
-	}
-	if outerN == 0 || (innerN == 0 && len(tail) == 0) {
-		return 0
-	}
-	iter := func(i uint64) sim.Duration {
-		b := base + uint64(outerStride)*i
-		var t sim.Duration
-		if innerN > 0 {
-			t = h.streamScalar(b, innerStride, 0, innerN, accs)
-		}
-		for k := range tail {
-			a := &tail[k]
-			addr := b + uint64(a.Off)
-			if a.Count > 1 {
-				t += h.AccessElems(addr, a.Size, a.Count, a.Kind)
-			} else {
-				t += h.AccessRange(addr, a.Size, a.Kind)
-			}
-		}
-		return t
-	}
-	scalarRest := func(from uint64) sim.Duration {
-		var t sim.Duration
-		for i := from; i < outerN; i++ {
-			t += iter(i)
-		}
-		return t
-	}
-	// FoldedIters/ScalarIters count innermost work: inner iterations when
-	// the nest has an inner pattern, macro-iterations otherwise.
-	w := innerN
-	if w == 0 {
-		w = 1
-	}
-	if !h.foldEligibleNested(outerStride, accs, tail) {
-		h.Folds.FallbackIneligible++
-		h.Folds.ScalarIters += outerN * w
-		return scalarRest(0)
-	}
-	P, delta, ok := h.foldPeriod(outerStride)
-	switch {
-	case !ok:
-		h.Folds.FallbackIneligible++
-	case outerN/P < foldMinPeriods:
-		h.Folds.FallbackShort++
-	case !h.nestedNoWrap(base, outerStride, outerN, innerStride, innerN, accs, tail):
-		h.Folds.FallbackWrap++
-	default:
-		fs := h.foldScratch()
-		fs.reset()
-		h.foldMarkTouchedNested(fs, base, outerStride, P, innerStride, innerN, accs, tail)
-		total, it := h.runFold(fs, outerN, P, delta, w, iter)
-		h.Folds.ScalarIters += (outerN - it) * w
-		return total + scalarRest(it)
-	}
-	h.Folds.ScalarIters += outerN * w
-	return scalarRest(0)
-}
-
-// foldEligibleNested applies the up-front disqualifiers at the outer level.
-// Per-entry inner stride overrides are legal here: whatever rate an entry
-// advances at inside a macro-iteration, its addresses still translate
-// uniformly by outerStride from one macro-iteration to the next, which is
-// all the outer fold needs.
-func (h *Hierarchy) foldEligibleNested(outerStride int64, accs, tail []StreamAcc) bool {
-	if h.Reference || h.tracer != nil || outerStride == 0 {
-		return false
-	}
-	if !h.L1D.SetsPow2() || !h.L2.SetsPow2() {
-		return false
-	}
-	for _, s := range [2][]StreamAcc{accs, tail} {
-		for i := range s {
-			if a := &s[i]; (a.Kind != Read && a.Kind != Write) || a.Size == 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// nestedNoWrap bounds one macro-iteration's full footprint — every inner
-// entry's sweep plus the tail — and applies the flat stream's wrap rules to
-// the outer walk.
-func (h *Hierarchy) nestedNoWrap(base uint64, outerStride int64, outerN uint64,
-	innerStride int64, innerN uint64, accs, tail []StreamAcc) bool {
-	var extLo, extHi int64
-	for i := range accs {
-		a := &accs[i]
-		if a.Size > 1<<32 || a.Count > 1<<32 || innerN > 1<<32 {
-			return false
-		}
-		s := a.stride(innerStride)
-		mag := uint64(s)
-		if s < 0 {
-			mag = uint64(-s)
-		}
-		hi, sweep := bits.Mul64(mag, innerN-1)
-		if hi != 0 || sweep > 1<<40 {
-			return false
-		}
-		lo, hiOff := a.Off, a.Off+int64(a.Size*max(a.Count, 1))
-		if s < 0 {
-			lo -= int64(sweep)
-		} else {
-			hiOff += int64(sweep)
-		}
-		extLo = min(extLo, lo)
-		extHi = max(extHi, hiOff)
-	}
-	for i := range tail {
-		a := &tail[i]
-		if a.Size > 1<<32 || a.Count > 1<<32 {
-			return false
-		}
-		extLo = min(extLo, a.Off)
-		extHi = max(extHi, a.Off+int64(a.Size*max(a.Count, 1)))
-	}
-	return spanNoWrap(base, outerStride, outerN, extLo, extHi)
-}
-
-// foldMarkTouchedNested marks the per-cache touched-set bitmaps for one
-// outer period of the nest. Each inner entry's sweep is marked as a
-// contiguous line range — exact for dense sweeps (|stride| no larger than
-// the footprint width, the shapes applications issue), a safe
-// over-approximation when the sweep has gaps: over-marking can only make
-// verification stricter, never unsound.
-func (h *Hierarchy) foldMarkTouchedNested(fs *foldScratch, base uint64, outerStride int64, P uint64,
-	innerStride int64, innerN uint64, accs, tail []StreamAcc) {
-	fs.touched1 = resetBitmap(fs.touched1, h.L1D.NumSets())
-	fs.touched2 = resetBitmap(fs.touched2, h.L2.NumSets())
-	for i := uint64(0); i < P; i++ {
-		b := base + uint64(outerStride)*i
-		for k := range accs {
-			a := &accs[k]
-			size := a.Size * max(a.Count, 1)
-			start := b + uint64(a.Off)
-			if innerN > 0 {
-				s := a.stride(innerStride)
-				sweep := uint64(s) * (innerN - 1)
-				if s < 0 {
-					sweep = uint64(-s) * (innerN - 1)
-					start -= sweep
-				}
-				size += sweep
-			}
-			h.markTouchedRange(fs, start, size)
-		}
-		for k := range tail {
-			a := &tail[k]
-			h.markTouchedRange(fs, b+uint64(a.Off), a.Size*max(a.Count, 1))
-		}
-	}
-}
-
-// markTouchedRange marks every set either cache maps any line of
-// [start, start+size) to.
-func (h *Hierarchy) markTouchedRange(fs *foldScratch, start, size uint64) {
-	if size == 0 {
-		return
-	}
-	line1, line2 := h.L1D.LineBytes(), h.L2.LineBytes()
-	for x := start &^ (line1 - 1); x <= (start+size-1)&^(line1-1); x += line1 {
-		s := h.L1D.SetIndex(x)
-		fs.touched1[s>>6] |= 1 << (s & 63)
-	}
-	for x := start &^ (line2 - 1); x <= (start+size-1)&^(line2-1); x += line2 {
-		s2 := h.L2.SetIndex(x)
-		fs.touched2[s2>>6] |= 1 << (s2 & 63)
 	}
 }

@@ -25,6 +25,13 @@ func snapshotJSON(t *testing.T, h *Hierarchy) []byte {
 	return j
 }
 
+// strideStream runs n elemBytes-wide accesses of one kind at base,
+// base+stride, base+2·stride, … as a single-entry StreamRun.
+func strideStream(h *Hierarchy, base, elemBytes uint64, stride int64, n uint64, kind AccessKind) sim.Duration {
+	accs := [1]StreamAcc{{Size: elemBytes, Count: 1, Kind: kind}}
+	return h.StreamRun(base, stride, n, accs[:])
+}
+
 // foldStrides mixes strides whose fold period is short (large power-of-two
 // factors, including cache-thrashing set strides and page-crossing DRAM
 // strides) with strides that stay scalar (small or odd), plus negatives.
@@ -60,13 +67,13 @@ func TestStrideStreamMatchesReference(t *testing.T) {
 			kind = Write
 		}
 		n := uint64(rng.Intn(12000) + 1)
-		got := fast.StrideStream(base, w, stride, n, kind)
+		got := strideStream(fast, base, w, stride, n, kind)
 		var want sim.Duration
 		for i := uint64(0); i < n; i++ {
 			want += ref.AccessRange(base+uint64(stride)*i, w, kind)
 		}
 		if got != want {
-			t.Fatalf("round %d: StrideStream(%#x,%d,%d,%d) = %v, want %v",
+			t.Fatalf("round %d: strideStream(%#x,%d,%d,%d) = %v, want %v",
 				round, base, w, stride, n, got, want)
 		}
 		statesEqual(t, round, fast, ref)
@@ -151,8 +158,8 @@ func TestStreamRunMultiAccessMatchesReference(t *testing.T) {
 func TestStreamFoldZeroAllocs(t *testing.T) {
 	h := New(DefaultConfig())
 	run := func() {
-		h.StrideStream(0, 4, 4096, 4096, Read)
-		h.StrideStream(1<<26, 8, -8192, 2048, Write)
+		strideStream(h, 0, 4, 4096, 4096, Read)
+		strideStream(h, 1<<26, 8, -8192, 2048, Write)
 	}
 	run() // grow the scratch buffers once
 	if h.Folds.Folded == 0 {
@@ -182,13 +189,13 @@ func TestStreamWrapRunsScalar(t *testing.T) {
 		{^uint64(0) - 1<<22, 4, 4096, 4096, Read}, // ascends past the top
 	}
 	for i, c := range cases {
-		got := fast.StrideStream(c.base, c.w, c.stride, c.n, c.kind)
+		got := strideStream(fast, c.base, c.w, c.stride, c.n, c.kind)
 		var want sim.Duration
 		for j := uint64(0); j < c.n; j++ {
 			want += ref.AccessRange(c.base+uint64(c.stride)*j, c.w, c.kind)
 		}
 		if got != want {
-			t.Fatalf("case %d: wrapped StrideStream = %v, want %v", i, got, want)
+			t.Fatalf("case %d: wrapped strideStream = %v, want %v", i, got, want)
 		}
 		if fast.Folds.Folded != 0 {
 			t.Fatalf("case %d: wrapping stream folded: %+v", i, fast.Folds)
@@ -213,13 +220,13 @@ func TestFoldFreshSubarrayGuard(t *testing.T) {
 		ref.AccessRange(j*sub+64, 4, Read)
 	}
 	base, stride, n := sub/2, int64(sub/2), uint64(40)
-	got := fast.StrideStream(base, 4, stride, n, Read)
+	got := strideStream(fast, base, 4, stride, n, Read)
 	var want sim.Duration
 	for i := uint64(0); i < n; i++ {
 		want += ref.AccessRange(base+uint64(stride)*i, 4, Read)
 	}
 	if got != want {
-		t.Fatalf("StrideStream over pre-opened fresh subarrays = %v, want %v", got, want)
+		t.Fatalf("strideStream over pre-opened fresh subarrays = %v, want %v", got, want)
 	}
 	statesEqual(t, 0, fast, ref)
 	if !bytes.Equal(snapshotJSON(t, fast), snapshotJSON(t, ref)) {
@@ -231,7 +238,7 @@ func TestFoldFreshSubarrayGuard(t *testing.T) {
 func TestStreamForceModes(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Reference = true
-	h.StrideStream(0, 4, 4096, 4096, Read)
+	strideStream(h, 0, 4, 4096, 4096, Read)
 	if h.Folds.Folded != 0 || h.Folds.FoldedIters != 0 {
 		t.Fatalf("Reference hierarchy folded: %+v", h.Folds)
 	}
@@ -243,11 +250,11 @@ func TestStreamForceModes(t *testing.T) {
 func BenchmarkStrideStream(b *testing.B) {
 	b.Run("folded", func(b *testing.B) {
 		h := New(DefaultConfig())
-		h.StrideStream(0, 4, 4096, 16384, Read)
+		strideStream(h, 0, 4, 4096, 16384, Read)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = h.StrideStream(0, 4, 4096, 16384, Read)
+			_ = strideStream(h, 0, 4, 4096, 16384, Read)
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {
@@ -256,7 +263,7 @@ func BenchmarkStrideStream(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = h.StrideStream(0, 4, 4096, 16384, Read)
+			_ = strideStream(h, 0, 4, 4096, 16384, Read)
 		}
 	})
 }
@@ -296,11 +303,11 @@ func BenchmarkStreamLineRuns(b *testing.B) {
 // WithoutDiag strips them.
 func TestFoldDiagCounters(t *testing.T) {
 	h := New(DefaultConfig())
-	h.StrideStream(0, 8, 65536, 20000, Read)           // long, short-period stride: folds
-	h.StrideStream(0, 8, 7, 5000, Read)                // odd stride: enormous period
-	h.StrideStream(0, 8, 8, 3, Read)                   // too short
-	h.StrideStream(^uint64(0)-64, 8, 8192, 4096, Read) // would wrap
-	h.StrideStream(0, 8, 0, 100, Read)                 // zero stride: ineligible
+	strideStream(h, 0, 8, 65536, 20000, Read)           // long, short-period stride: folds
+	strideStream(h, 0, 8, 7, 5000, Read)                // odd stride: enormous period
+	strideStream(h, 0, 8, 8, 3, Read)                   // too short
+	strideStream(h, ^uint64(0)-64, 8, 8192, 4096, Read) // would wrap
+	strideStream(h, 0, 8, 0, 100, Read)                 // zero stride: ineligible
 
 	f := h.Folds
 	if f.Folded == 0 {
@@ -328,5 +335,49 @@ func TestFoldDiagCounters(t *testing.T) {
 	}
 	if _, ok := s.WithoutDiag()["mem.diag.fold_streams"]; ok {
 		t.Error("WithoutDiag kept fold_streams")
+	}
+}
+
+// TestStreamPerEntryStrideMatchesReference drives the flat stream batcher
+// with heterogeneous per-entry stride overrides — the LCS row shape: a
+// byte-stride operand read against halfword-stride table accesses — and
+// requires exact equivalence with the scalar reference. Heterogeneous
+// strides are ineligible for folding, so this pins the batched scalar
+// path's per-entry address arithmetic.
+func TestStreamPerEntryStrideMatchesReference(t *testing.T) {
+	fast, ref := New(DefaultConfig()), New(DefaultConfig())
+	ref.Reference = true
+	rng := rand.New(rand.NewSource(13))
+	for round := 0; round < 60; round++ {
+		base := uint64(1)<<22 + uint64(rng.Intn(1<<20))
+		n := uint64(rng.Intn(4000) + 1)
+		bOff := -int64(rng.Intn(1 << 16))
+		accs := []StreamAcc{
+			{Off: bOff, Size: 1, Count: 1, Kind: Read, Stride: 1},
+			{Off: -int64(n) * 2, Size: 2, Count: 1, Kind: Read},
+			{Size: 2, Count: 1, Kind: Write},
+		}
+		if rng.Intn(3) == 0 {
+			accs[1].Stride = 4 // three distinct rates in one stream
+		}
+		got := fast.StreamRun(base, 2, n, accs)
+		var want sim.Duration
+		for i := uint64(0); i < n; i++ {
+			for k := range accs {
+				a := &accs[k]
+				addr := base + uint64(a.stride(2))*i + uint64(a.Off)
+				want += ref.AccessRange(addr, a.Size, a.Kind)
+			}
+		}
+		if got != want {
+			t.Fatalf("round %d: StreamRun with stride overrides = %v, want %v", round, got, want)
+		}
+		statesEqual(t, round, fast, ref)
+		if !bytes.Equal(snapshotJSON(t, fast), snapshotJSON(t, ref)) {
+			t.Fatalf("round %d: snapshots diverge", round)
+		}
+	}
+	if fast.Folds.FallbackIneligible == 0 {
+		t.Fatalf("heterogeneous strides unexpectedly eligible: %+v", fast.Folds)
 	}
 }

@@ -73,11 +73,12 @@ type Hierarchy struct {
 	// UncachedAccesses counts accesses that bypassed the caches.
 	UncachedAccesses uint64
 
-	// Reference disables the batched fast paths: AccessElems degrades to a
-	// per-element Access loop, AccessRange probes every line through the
-	// full chain, and StreamRun never folds. Timing and statistics must be
-	// identical either way — the equivalence tests run one machine in each
-	// mode and diff everything.
+	// Reference is the hierarchy's one access-path switch. It turns every
+	// batched path off: AccessElems degrades to a per-element AccessRange
+	// loop, StreamRun neither batches line runs nor folds, and the
+	// processors' Stream issues its scalar loop. Timing and statistics must
+	// be identical either way — the equivalence tests run one machine in
+	// each mode and diff everything.
 	Reference bool
 
 	// Folds counts the stream-folding layer's decisions. It is diagnostic
@@ -147,9 +148,6 @@ func (h *Hierarchy) SetTracer(tr *obs.Tracer, now func() sim.Time) {
 	}
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // L1HitTime returns the L1 hit latency without copying the whole Config —
 // the processors read it on every scalar access.
 func (h *Hierarchy) L1HitTime() sim.Duration { return h.cfg.L1HitTime }
@@ -166,7 +164,6 @@ func (h *Hierarchy) Observe(r *obs.Registry, prefix string) {
 	// while -json snapshots and /metrics expose them.
 	d := prefix + "." + obs.DiagPrefix
 	r.Counter(d+"fold_streams", func() uint64 { return h.Folds.Streams })
-	r.Counter(d+"fold_nested_streams", func() uint64 { return h.Folds.NestedStreams })
 	r.Counter(d+"fold_engaged", func() uint64 { return h.Folds.Folded })
 	r.Counter(d+"fold_folded_periods", func() uint64 { return h.Folds.FoldedPeriods })
 	r.Counter(d+"fold_folded_iters", func() uint64 { return h.Folds.FoldedIters })
@@ -200,10 +197,8 @@ func (h *Hierarchy) Access(addr uint64, size uint64, kind AccessKind) sim.Durati
 }
 
 // AccessRange charges an access of size bytes at addr in one pass and
-// returns its latency. It is the canonical access entry point: timing,
-// statistics, and cache state are those of the per-line walk, but each
-// resident line is resolved through the L1's MRU fast path without
-// entering the full L1→L2→memory chain.
+// returns its latency: one L1→L2→memory line walk per cache line the
+// access spans.
 func (h *Hierarchy) AccessRange(addr uint64, size uint64, kind AccessKind) sim.Duration {
 	if size == 0 {
 		return 0
@@ -231,11 +226,8 @@ func (h *Hierarchy) AccessRange(addr uint64, size uint64, kind AccessKind) sim.D
 	line := l1.LineBytes()
 	first := addr &^ (line - 1)
 	last := (addr + size - 1) &^ (line - 1)
-	if first == last && !h.Reference {
+	if first == last {
 		// Single-line access — the overwhelmingly common shape.
-		if l1.AccessFast(first, write) {
-			return h.cfg.L1HitTime
-		}
 		return h.accessLine(l1, first, write)
 	}
 	// Count lines from the in-line offset rather than comparing line
@@ -244,10 +236,6 @@ func (h *Hierarchy) AccessRange(addr uint64, size uint64, kind AccessKind) sim.D
 	nl := ((addr & (line - 1)) + size + line - 1) / line
 	var total sim.Duration
 	for a := first; nl > 0; nl, a = nl-1, a+line {
-		if !h.Reference && l1.AccessFast(a, write) {
-			total += h.cfg.L1HitTime
-			continue
-		}
 		total += h.accessLine(l1, a, write)
 	}
 	return total
@@ -304,11 +292,7 @@ func (h *Hierarchy) AccessElems(addr, elemBytes, n uint64, kind AccessKind) sim.
 	for i := uint64(0); i < n; {
 		a := addr + i*elemBytes
 		k := min((line-(a&(line-1)))/elemBytes, n-i)
-		if l1.AccessFast(a, write) {
-			total += h.cfg.L1HitTime
-		} else {
-			total += h.accessLine(l1, a, write)
-		}
+		total += h.accessLine(l1, a, write)
 		if k > 1 {
 			l1.RepeatHit(a, k-1, write)
 			total += sim.Duration(k-1) * h.cfg.L1HitTime

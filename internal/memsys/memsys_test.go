@@ -28,12 +28,12 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 func TestColdReadThenHit(t *testing.T) {
 	h := New(DefaultConfig())
 	cold := h.Access(0, 4, Read)
-	if cold <= h.Config().L1HitTime {
+	if cold <= h.cfg.L1HitTime {
 		t.Fatalf("cold read too cheap: %v", cold)
 	}
 	warm := h.Access(0, 4, Read)
-	if warm != h.Config().L1HitTime {
-		t.Fatalf("warm read = %v, want L1 hit %v", warm, h.Config().L1HitTime)
+	if warm != h.cfg.L1HitTime {
+		t.Fatalf("warm read = %v, want L1 hit %v", warm, h.cfg.L1HitTime)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestWriteAllocates(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Access(0, 4, Write)
 	warm := h.Access(0, 4, Read)
-	if warm != h.Config().L1HitTime {
+	if warm != h.cfg.L1HitTime {
 		t.Fatalf("read after write missed: %v", warm)
 	}
 }
@@ -153,8 +153,10 @@ func TestFlushData(t *testing.T) {
 	h := New(DefaultConfig())
 	h.Access(0, 4, Read)
 	h.FlushData()
-	if h.L1D.ResidentLines() != 0 || h.L2.ResidentLines() != 0 {
-		t.Fatal("FlushData left resident lines")
+	l1, l2 := h.L1D.Stats.Misses, h.L2.Stats.Misses
+	h.Access(0, 4, Read)
+	if h.L1D.Stats.Misses != l1+1 || h.L2.Stats.Misses != l2+1 {
+		t.Fatal("FlushData left the line resident")
 	}
 }
 
@@ -202,7 +204,7 @@ func TestInvalidateZeroRange(t *testing.T) {
 	if h.Invalidate(0, 0) != 0 {
 		t.Fatal("zero-length invalidate dropped lines")
 	}
-	if !h.L1D.Lookup(0) {
+	if h.Access(0, 4, Read) != h.L1HitTime() {
 		t.Fatal("line disappeared")
 	}
 }

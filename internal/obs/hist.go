@@ -95,31 +95,12 @@ func (h *Histogram) AddDelta(d HistCheckpoint, times uint64) {
 	h.sum += d.sum * sim.Duration(times)
 }
 
-// ObserveN records the same duration n times, equivalent to n Observe
-// calls. A nil histogram ignores it.
-func (h *Histogram) ObserveN(d sim.Duration, n uint64) {
-	if h == nil || n == 0 {
-		return
-	}
-	h.buckets[bits.Len64(uint64(d))] += n
-	h.count += n
-	h.sum += d * sim.Duration(n)
-}
-
 // Count reports how many durations have been recorded.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
 	return h.count
-}
-
-// Sum reports the total of all recorded durations.
-func (h *Histogram) Sum() sim.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // bucketUpperPS is the inclusive upper bound of bucket i in picoseconds:

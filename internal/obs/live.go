@@ -45,9 +45,6 @@ type LiveGauge struct {
 	v atomic.Int64
 }
 
-// Set stores the level.
-func (g *LiveGauge) Set(v int64) { g.v.Store(v) }
-
 // Add moves the level by delta (negative deltas allowed).
 func (g *LiveGauge) Add(delta int64) { g.v.Add(delta) }
 

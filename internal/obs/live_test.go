@@ -120,7 +120,7 @@ func TestLiveCounterGauge(t *testing.T) {
 		t.Errorf("gauge = %d, want 0", s["serve.depth_max"])
 	}
 	c.Add(5)
-	g.Set(-3)
+	g.Add(-3)
 	if c.Load() != 4005 || g.Load() != -3 {
 		t.Errorf("Load: counter %d gauge %d", c.Load(), g.Load())
 	}

@@ -170,16 +170,6 @@ func (w *WallTracer) Events() []WallEvent {
 	return append(out, w.log...)
 }
 
-// SpanCount reports how many spans are retained. A nil tracer has none.
-func (w *WallTracer) SpanCount() int {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tr.Len()
-}
-
 // Epoch returns the wall instant the tracer's timeline starts at. A nil
 // tracer's epoch is the zero time.
 func (w *WallTracer) Epoch() time.Time {
@@ -229,15 +219,4 @@ func (w *WallTracer) WriteChrome(out io.Writer) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return WriteChrome(out, w.tr)
-}
-
-// Tracer exposes the underlying ring for callers combining a wall-clock
-// tracer with simulated-time tracers in one WriteChrome document. The
-// caller must ensure no concurrent emission while the combined document is
-// written. A nil tracer yields nil.
-func (w *WallTracer) Tracer() *Tracer {
-	if w == nil {
-		return nil
-	}
-	return w.tr
 }

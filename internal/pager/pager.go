@@ -78,9 +78,6 @@ func (s Stats) FaultRate() float64 {
 	return float64(s.Faults) / float64(s.Accesses)
 }
 
-// Overhead is total swap time, including reconfiguration.
-func (s Stats) Overhead() sim.Duration { return s.TransferTime + s.ReconfigTime }
-
 type frame struct {
 	page    uint64
 	active  bool
@@ -103,18 +100,6 @@ func New(cfg Config) *Pager {
 	}
 	return &Pager{cfg: cfg, resident: make(map[uint64]*list.Element), lru: list.New()}
 }
-
-// Config returns the pager configuration.
-func (p *Pager) Config() Config { return p.cfg }
-
-// Resident reports whether a page is in memory.
-func (p *Pager) Resident(page uint64) bool {
-	_, ok := p.resident[page]
-	return ok
-}
-
-// ResidentCount returns how many frames are occupied.
-func (p *Pager) ResidentCount() int { return p.lru.Len() }
 
 // transferTime is the cost to move one page to or from disk.
 func (p *Pager) transferTime() sim.Duration {

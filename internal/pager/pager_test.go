@@ -37,16 +37,22 @@ func TestHitCostsNothing(t *testing.T) {
 	}
 }
 
+// resident reports whether a page is in memory.
+func resident(p *Pager, page uint64) bool {
+	_, ok := p.resident[page]
+	return ok
+}
+
 func TestLRUEviction(t *testing.T) {
 	p := newPager(2)
 	p.Touch(1, false, 0)
 	p.Touch(2, false, 0)
 	p.Touch(1, false, 0) // 2 is now LRU
 	p.Touch(3, false, 0) // evicts 2
-	if !p.Resident(1) || !p.Resident(3) {
+	if !resident(p, 1) || !resident(p, 3) {
 		t.Fatal("wrong pages resident")
 	}
-	if p.Resident(2) {
+	if resident(p, 2) {
 		t.Fatal("LRU page survived")
 	}
 	if p.Stats.Evictions != 1 {
@@ -61,7 +67,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 		for _, pg := range trace {
 			p.Touch(uint64(pg%32), pg%2 == 0, 3000)
 		}
-		return p.ResidentCount() <= frames
+		return p.lru.Len() <= frames
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -54,10 +54,6 @@ type Stats struct {
 	FPOps        uint64
 }
 
-// BusyTime is time the processor was doing useful work (compute plus
-// mediation service).
-func (s Stats) BusyTime() sim.Duration { return s.ComputeTime + s.MediationTime }
-
 // TotalTime is the sum of all buckets.
 func (s Stats) TotalTime() sim.Duration {
 	return s.ComputeTime + s.MemStallTime + s.NonOverlapTime + s.MediationTime
@@ -81,11 +77,6 @@ type CPU struct {
 	store *mem.Store
 	now   sim.Time
 	Stats Stats
-
-	// ForceScalar makes the typed slice accessors issue one scalar access
-	// per element instead of batching through AccessElems. The ledger must
-	// come out identical either way; the equivalence tests flip this.
-	ForceScalar bool
 
 	// Interrupt, when set, is polled periodically from the access paths (and
 	// once per Stream call). A non-nil return unwinds the simulated program
@@ -282,12 +273,6 @@ func (c *CPU) bulkAccess(addr, elemBytes, n uint64, kind memsys.AccessKind) {
 // The typed accessors perform a functional load/store on the backing store
 // and charge its timing through the cache hierarchy.
 
-// LoadU8 loads one byte.
-func (c *CPU) LoadU8(addr uint64) uint8 {
-	c.access(addr, 1, memsys.Read)
-	return c.store.ByteAt(addr)
-}
-
 // LoadU16 loads a 16-bit value.
 func (c *CPU) LoadU16(addr uint64) uint16 {
 	c.access(addr, 2, memsys.Read)
@@ -304,18 +289,6 @@ func (c *CPU) LoadU32(addr uint64) uint32 {
 func (c *CPU) LoadU64(addr uint64) uint64 {
 	c.access(addr, 8, memsys.Read)
 	return c.store.ReadU64(addr)
-}
-
-// StoreU8 stores one byte.
-func (c *CPU) StoreU8(addr uint64, v uint8) {
-	c.access(addr, 1, memsys.Write)
-	c.store.SetByte(addr, v)
-}
-
-// StoreU16 stores a 16-bit value.
-func (c *CPU) StoreU16(addr uint64, v uint16) {
-	c.access(addr, 2, memsys.Write)
-	c.store.WriteU16(addr, v)
 }
 
 // StoreU32 stores a 32-bit value.
@@ -344,114 +317,6 @@ func (c *CPU) WriteBlock(addr uint64, p []byte) {
 	c.store.Write(addr, p)
 }
 
-// The typed slice accessors issue one timed access per element — exactly
-// like a hand-written load/store loop — but batch the timing through
-// AccessElems and move the bytes in one pass. Use them where the algorithm
-// genuinely streams over consecutive elements; keep explicit loops where
-// access interleaving matters.
-
-// LoadU8Slice loads len(dst) consecutive bytes, one timed load each.
-func (c *CPU) LoadU8Slice(addr uint64, dst []uint8) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU8(addr + uint64(i))
-		}
-		return
-	}
-	c.bulkAccess(addr, 1, uint64(len(dst)), memsys.Read)
-	c.store.Read(addr, dst)
-}
-
-// StoreU8Slice stores src as consecutive bytes, one timed store each.
-func (c *CPU) StoreU8Slice(addr uint64, src []uint8) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU8(addr+uint64(i), v)
-		}
-		return
-	}
-	c.bulkAccess(addr, 1, uint64(len(src)), memsys.Write)
-	c.store.Write(addr, src)
-}
-
-// LoadU16Slice loads len(dst) consecutive 16-bit values, one timed load
-// each.
-func (c *CPU) LoadU16Slice(addr uint64, dst []uint16) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU16(addr + uint64(i)*2)
-		}
-		return
-	}
-	c.bulkAccess(addr, 2, uint64(len(dst)), memsys.Read)
-	c.store.ReadU16Slice(addr, dst)
-}
-
-// StoreU16Slice stores src as consecutive 16-bit values, one timed store
-// each.
-func (c *CPU) StoreU16Slice(addr uint64, src []uint16) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU16(addr+uint64(i)*2, v)
-		}
-		return
-	}
-	c.bulkAccess(addr, 2, uint64(len(src)), memsys.Write)
-	c.store.WriteU16Slice(addr, src)
-}
-
-// LoadU32Slice loads len(dst) consecutive 32-bit values, one timed load
-// each.
-func (c *CPU) LoadU32Slice(addr uint64, dst []uint32) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU32(addr + uint64(i)*4)
-		}
-		return
-	}
-	c.bulkAccess(addr, 4, uint64(len(dst)), memsys.Read)
-	c.store.ReadU32Slice(addr, dst)
-}
-
-// StoreU32Slice stores src as consecutive 32-bit values, one timed store
-// each.
-func (c *CPU) StoreU32Slice(addr uint64, src []uint32) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU32(addr+uint64(i)*4, v)
-		}
-		return
-	}
-	c.bulkAccess(addr, 4, uint64(len(src)), memsys.Write)
-	c.store.WriteU32Slice(addr, src)
-}
-
-// LoadU64Slice loads len(dst) consecutive 64-bit values, one timed load
-// each.
-func (c *CPU) LoadU64Slice(addr uint64, dst []uint64) {
-	if c.ForceScalar {
-		for i := range dst {
-			dst[i] = c.LoadU64(addr + uint64(i)*8)
-		}
-		return
-	}
-	c.bulkAccess(addr, 8, uint64(len(dst)), memsys.Read)
-	c.store.ReadU64Slice(addr, dst)
-}
-
-// StoreU64Slice stores src as consecutive 64-bit values, one timed store
-// each.
-func (c *CPU) StoreU64Slice(addr uint64, src []uint64) {
-	if c.ForceScalar {
-		for i, v := range src {
-			c.StoreU64(addr+uint64(i)*8, v)
-		}
-		return
-	}
-	c.bulkAccess(addr, 8, uint64(len(src)), memsys.Write)
-	c.store.WriteU64Slice(addr, src)
-}
-
 // Stream charges n iterations of a fixed-stride access pattern plus
 // computePerIter instructions per iteration, routing the memory timing
 // through the hierarchy's stream-folding layer. The ledger comes out
@@ -459,8 +324,9 @@ func (c *CPU) StoreU64Slice(addr uint64, src []uint64) {
 // pattern entry as an access (Count == 1) or slice access (Count > 1)
 // followed by Compute(computePerIter); every bucket is a sum, and sums are
 // order-independent — so folding changes wall-clock only, never a
-// measurement. With ForceScalar or tracing on, the scalar loop itself runs,
-// preserving the per-access trace span structure.
+// measurement. When the hierarchy is in Reference mode or tracing is on,
+// the scalar loop itself runs, preserving the per-access trace span
+// structure.
 //
 // Stream performs no functional data movement: callers mirror values
 // host-side or move bytes in bulk on the store, exactly as the Active-Page
@@ -477,7 +343,7 @@ func (c *CPU) Stream(base uint64, stride int64, n uint64, accs []memsys.StreamAc
 			panic(CancelPanic{Err: err})
 		}
 	}
-	fast := !c.ForceScalar && c.tracer == nil
+	fast := !c.hier.Reference && c.tracer == nil
 	for k := range accs {
 		if accs[k].Kind != memsys.Read && accs[k].Kind != memsys.Write {
 			// The bulk ledger split below assumes every access is cached
@@ -527,14 +393,6 @@ func (c *CPU) Stream(base uint64, stride int64, n uint64, accs []memsys.StreamAc
 	}
 }
 
-// StrideStream charges n elemBytes-wide accesses of the given kind at
-// base, base+stride, …, through the stream-folding layer, with
-// computePerIter instructions between accesses. See Stream.
-func (c *CPU) StrideStream(base, elemBytes uint64, stride int64, n uint64, kind memsys.AccessKind, computePerIter uint64) {
-	accs := [1]memsys.StreamAcc{{Size: elemBytes, Count: 1, Kind: kind}}
-	c.Stream(base, stride, n, accs[:], computePerIter)
-}
-
 // streamAddr resolves one stream entry's address for iteration i, honoring
 // its per-entry stride override.
 func streamAddr(base uint64, stride int64, i uint64, a *memsys.StreamAcc) uint64 {
@@ -543,103 +401,6 @@ func streamAddr(base uint64, stride int64, i uint64, a *memsys.StreamAcc) uint64
 		s = a.Stride
 	}
 	return base + uint64(s)*i + uint64(a.Off)
-}
-
-// NestedStream charges a two-level loop nest through the hierarchy's
-// nested stream layer: outerN macro-iterations, each running innerN inner
-// iterations of accs (at base + i·outerStride + j·innerStride + Off, with
-// per-entry Stride overrides) plus innerCpi instructions, then every entry
-// of tail once (at base + i·outerStride + Off) plus tailCpi instructions.
-// The ledger comes out exactly as the equivalent two-level scalar loop's
-// would — every bucket is a sum, and sums are order-independent — so outer
-// folding changes wall-clock only, never a measurement. With ForceScalar or
-// tracing on, the scalar nest itself runs. Like Stream, NestedStream moves
-// no data: callers mirror values host-side.
-func (c *CPU) NestedStream(base uint64, outerStride int64, outerN uint64,
-	innerStride int64, innerN uint64, accs []memsys.StreamAcc, innerCpi uint64,
-	tail []memsys.StreamAcc, tailCpi uint64) {
-	if outerN == 0 {
-		return
-	}
-	// One forced poll per nest, mirroring Stream: the whole nest can stand
-	// in for a very long loop the paced per-access poll never sees.
-	if c.Interrupt != nil {
-		if err := c.Interrupt(); err != nil {
-			panic(CancelPanic{Err: err})
-		}
-	}
-	fast := !c.ForceScalar && c.tracer == nil
-	for _, s := range [2][]memsys.StreamAcc{accs, tail} {
-		for k := range s {
-			if s[k].Kind != memsys.Read && s[k].Kind != memsys.Write {
-				// The bulk ledger split assumes cached accesses only.
-				fast = false
-			}
-		}
-	}
-	if !fast {
-		for i := uint64(0); i < outerN; i++ {
-			b := base + uint64(outerStride)*i
-			for j := uint64(0); j < innerN; j++ {
-				for k := range accs {
-					a := &accs[k]
-					addr := streamAddr(b, innerStride, j, a)
-					if a.Count > 1 {
-						c.bulkAccess(addr, a.Size, a.Count, a.Kind)
-					} else {
-						c.access(addr, a.Size, a.Kind)
-					}
-				}
-				if innerCpi > 0 {
-					c.Compute(innerCpi)
-				}
-			}
-			for k := range tail {
-				a := &tail[k]
-				addr := b + uint64(a.Off)
-				if a.Count > 1 {
-					c.bulkAccess(addr, a.Size, a.Count, a.Kind)
-				} else {
-					c.access(addr, a.Size, a.Kind)
-				}
-			}
-			if tailCpi > 0 {
-				c.Compute(tailCpi)
-			}
-		}
-		return
-	}
-	t := c.hier.NestedStreamRun(base, outerStride, outerN, innerStride, innerN, accs, tail)
-	var perInner, innerLoads, perTail, tailLoads uint64
-	for k := range accs {
-		cnt := max(accs[k].Count, 1)
-		perInner += cnt
-		if accs[k].Kind == memsys.Read {
-			innerLoads += cnt
-		}
-	}
-	for k := range tail {
-		cnt := max(tail[k].Count, 1)
-		perTail += cnt
-		if tail[k].Kind == memsys.Read {
-			tailLoads += cnt
-		}
-	}
-	total := outerN * (innerN*perInner + perTail)
-	loads := outerN * (innerN*innerLoads + tailLoads)
-	hitTotal := sim.Duration(total) * c.hier.L1HitTime()
-	if t < hitTotal {
-		hitTotal = t // cannot happen for cached accesses; defensive
-	}
-	c.now += t
-	c.Stats.ComputeTime += hitTotal
-	c.Stats.MemStallTime += t - hitTotal
-	c.Stats.Instructions += total
-	c.Stats.Loads += loads
-	c.Stats.Stores += total - loads
-	if cpi := innerN*innerCpi + tailCpi; cpi > 0 {
-		c.Compute(outerN * cpi)
-	}
 }
 
 // TouchLoad charges the timing of a size-byte load whose value the caller
@@ -651,19 +412,6 @@ func (c *CPU) TouchLoad(addr, size uint64) { c.access(addr, size, memsys.Read) }
 // caller moves in bulk on the store afterwards: identical hierarchy traffic
 // and ledger to StoreU32 and friends, with the functional write elided.
 func (c *CPU) TouchStore(addr, size uint64) { c.access(addr, size, memsys.Write) }
-
-// ReadBlockU32 loads a block of 32-bit values charged as one block read
-// (like ReadBlock: a single multi-line access) and decoded in one pass.
-func (c *CPU) ReadBlockU32(addr uint64, dst []uint32) {
-	c.access(addr, uint64(len(dst))*4, memsys.Read)
-	c.store.ReadU32Slice(addr, dst)
-}
-
-// WriteBlockU32 stores a block of 32-bit values charged as one block write.
-func (c *CPU) WriteBlockU32(addr uint64, src []uint32) {
-	c.access(addr, uint64(len(src))*4, memsys.Write)
-	c.store.WriteU32Slice(addr, src)
-}
 
 // UncachedLoadU32 reads a word around the caches — an Active-Page
 // synchronization variable or output area read.

@@ -24,7 +24,7 @@ func TestMapDeterministicAcrossJobs(t *testing.T) {
 		m.CPU.Compute(uint64(i + 1))
 		return fmt.Sprintf("%d:%v", i, m.Elapsed()), nil
 	}
-	serial, err := Map(Serial(), n, fn)
+	serial, err := Map(&Runner{Jobs: 1}, n, fn)
 	if err != nil {
 		t.Fatal(err)
 	}

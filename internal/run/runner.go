@@ -38,9 +38,6 @@ type Runner struct {
 	Progress *Progress
 }
 
-// Serial returns a single-worker runner.
-func Serial() *Runner { return &Runner{Jobs: 1} }
-
 // Parallel returns a runner with one worker per CPU.
 func Parallel() *Runner { return &Runner{Jobs: runtime.NumCPU()} }
 

@@ -477,7 +477,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // backendSlices maps each Active-Page backend name to the machine
-// prefix its run metrics carry inside a snapshot (apps.MeasureObserved
+// prefix its run metrics carry inside a snapshot (apps.MeasureObservedWith
 // tags RADram machines with the historical "rad.").
 var backendSlices = []struct{ name, prefix string }{
 	{"radram", "rad."},
@@ -577,6 +577,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rn := s.reg.add(req, spec, rid, now, trace, newRunProgress(trace), s.cfg.JobsPerRun)
 	trace.SetProcess(1, rn.ID+" (wall clock)")
 	trace.Log(now, "submitted", map[string]string{"request": req.String(), "request_id": rid})
+	// Copy the response view before the run reaches the queue: no worker
+	// can touch the run yet, so the 202 reports the state the run was
+	// accepted in (queued) instead of racing a worker's pickup.
+	view, _ := s.reg.get(rn.ID)
 	select {
 	case s.queue <- rn.ID:
 		s.memo.setInflightLocked(spec, rn.ID)
@@ -597,9 +601,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("run submitted", "id", rn.ID, "request", req.String(), "request_id", rid)
 	w.Header().Set(CacheResultHeader, "miss")
 	w.Header().Set("Location", "/api/v1/runs/"+rn.ID)
-	// Re-fetch under the registry lock: a worker may already be mutating
-	// the run, and view copies must never race it.
-	view, _ := s.reg.get(rn.ID)
 	s.writeJSON(w, http.StatusAccepted, view)
 }
 

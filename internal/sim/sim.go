@@ -101,9 +101,6 @@ func NewClockPeriod(period Duration) Clock {
 // Period returns the duration of one cycle.
 func (c Clock) Period() Duration { return c.period }
 
-// Hz returns the clock frequency in hertz.
-func (c Clock) Hz() uint64 { return uint64(Second) / uint64(c.period) }
-
 // Cycles converts a cycle count into a duration.
 func (c Clock) Cycles(n uint64) Duration { return Duration(n) * c.period }
 

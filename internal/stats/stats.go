@@ -34,9 +34,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Pearson returns the correlation coefficient between xs and ys. It
 // returns an error for mismatched lengths, fewer than two points, or a
 // zero-variance input (where correlation is undefined).
