@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"activepages/internal/httpmw"
+	"activepages/internal/lru"
 	"activepages/internal/obs"
 	"activepages/internal/serve"
 )
@@ -116,9 +117,10 @@ type Router struct {
 
 	// mw is the shared HTTP middleware layer (per-route histograms under
 	// "router.http.*", access logs, request-id stamping); traces keeps each
-	// routed submission's wall spans for splicing into the shard's trace.
+	// routed submission's wall spans, keyed by the run id the shard
+	// allocated, for splicing into the shard's trace.
 	mw     *httpmw.Instrument
-	traces *traceStore
+	traces *lru.Cache[string, *obs.WallTracer]
 
 	mux http.Handler
 }
@@ -135,7 +137,7 @@ func NewRouter(cfg Config) *Router {
 		client: cfg.Client,
 		state:  make(map[string]*backendState, len(cfg.Backends)),
 		live:   obs.New(),
-		traces: newTraceStore(routerTraceRuns),
+		traces: lru.New[string](routerTraceRuns, func(*obs.WallTracer) uint64 { return 1 }),
 	}
 	for _, b := range cfg.Backends {
 		rt.state[b] = &backendState{}
@@ -381,7 +383,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if id != "" {
 			// First-writer-wins: a deduped resubmission must not replace the
 			// executing run's routing spans with its own.
-			rt.traces.put(id, tr)
+			rt.traces.Add(id, tr)
 		}
 		return
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"activepages/internal/httpmw"
@@ -26,45 +25,10 @@ const (
 	// decision is a handful of spans (ring lookup, attempts, relay), so a
 	// small ring keeps the per-request cost trivial.
 	routerTraceEvents = 64
-	// routerTraceRuns bounds how many runs' routing traces the store
-	// retains before evicting oldest-first.
+	// routerTraceRuns bounds how many runs' routing traces the router
+	// retains, least recently routed or read evicted first.
 	routerTraceRuns = 1024
 )
-
-// traceStore retains the routing trace of recently routed submissions,
-// keyed by the run id the shard allocated, bounded FIFO. Writes are
-// first-writer-wins: a deduped resubmission of a running spec must not
-// replace the executing run's routing spans.
-type traceStore struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[string]*obs.WallTracer
-	fifo []string
-}
-
-func newTraceStore(capacity int) *traceStore {
-	return &traceStore{cap: capacity, m: make(map[string]*obs.WallTracer, capacity)}
-}
-
-func (s *traceStore) put(id string, tr *obs.WallTracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[id]; ok {
-		return
-	}
-	s.m[id] = tr
-	s.fifo = append(s.fifo, id)
-	for len(s.fifo) > s.cap {
-		delete(s.m, s.fifo[0])
-		s.fifo = s.fifo[1:]
-	}
-}
-
-func (s *traceStore) get(id string) *obs.WallTracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[id]
-}
 
 // handleRunTrace serves a run's end-to-end trace: the shard's own
 // lifecycle trace with this router's routing spans spliced in as an
@@ -106,8 +70,8 @@ func (rt *Router) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		tr := rt.traces.get(id)
-		if tr == nil {
+		tr, ok := rt.traces.Get(id)
+		if !ok {
 			w.Write(base)
 			return
 		}

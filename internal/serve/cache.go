@@ -5,8 +5,8 @@
 // the same output bytes, the same metrics snapshot, and the same
 // per-benchmark groups. The memoCache exploits that twice:
 //
-//   - Completed runs are stored under their spec key with byte-budgeted
-//     LRU eviction, so a repeat submission completes at submit time —
+//   - Completed runs are stored under their spec key in a byte-budgeted
+//     lru.Cache, so a repeat submission completes at submit time —
 //     same artifact bytes, near-zero execute span — without touching the
 //     worker pool.
 //   - In-flight runs are singleflighted: while a spec's leader run is
@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"activepages/internal/experiments"
+	"activepages/internal/lru"
 	"activepages/internal/obs"
 )
 
@@ -79,21 +80,16 @@ type cachedRun struct {
 	output  []byte
 	metrics obs.Snapshot
 	groups  map[string]obs.Snapshot
-	bytes   uint64
-	stamp   uint64
 }
 
 // memoCache is the server's run memoization state: the content-addressed
-// result store plus the in-flight singleflight index. One mutex guards
-// both so a submission observes them consistently — a spec is either
-// cached, in flight, or cold, never ambiguously two of those.
+// result store plus the in-flight singleflight index. Submissions hold mu
+// across both lookups so a spec is either cached, in flight, or cold,
+// never ambiguously two of those. Both are nil when the cache is
+// disabled.
 type memoCache struct {
 	mu      sync.Mutex
-	enabled bool
-	budget  uint64
-	total   uint64
-	stamp   uint64
-	entries map[string]*cachedRun
+	results *lru.Cache[string, *cachedRun]
 	// inflight maps a spec key to the id of its leader run from the moment
 	// the leader is queued until it reaches a terminal state. Duplicate
 	// submissions in that window return the leader's id.
@@ -101,79 +97,44 @@ type memoCache struct {
 }
 
 func newMemoCache(enabled bool, budget uint64) *memoCache {
+	if !enabled {
+		return &memoCache{}
+	}
 	if budget == 0 {
 		budget = DefaultCacheBudget
 	}
-	m := &memoCache{enabled: enabled, budget: budget}
-	if enabled {
-		m.entries = make(map[string]*cachedRun)
-		m.inflight = make(map[string]string)
+	return &memoCache{
+		results:  lru.New[string](budget, artifactBytes),
+		inflight: make(map[string]string),
 	}
-	return m
 }
 
-// lookupLocked returns the cached result for key, bumping its LRU stamp.
+// lookupLocked returns the cached result for key, refreshing its recency.
 // Callers hold m.mu.
 func (m *memoCache) lookupLocked(key string) *cachedRun {
-	e := m.entries[key]
-	if e != nil {
-		m.stamp++
-		e.stamp = m.stamp
+	if m.results == nil {
+		return nil
 	}
-	return e
+	res, _ := m.results.Get(key)
+	return res
 }
 
-// store memoizes one completed run's artifacts and evicts least-recently-
-// used entries beyond the byte budget, returning how many were evicted. A
-// key already present only has its recency refreshed: the artifacts are
-// identical by determinism, and the first store wins so concurrent readers
-// never observe a swap.
-func (m *memoCache) store(key string, output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) int {
-	if !m.enabled || key == "" {
+// store memoizes one completed run's artifacts, returning how many least
+// recently used results were evicted beyond the byte budget. A key already
+// present only has its recency refreshed: the artifacts are identical by
+// determinism, and the first store wins so concurrent readers never
+// observe a swap.
+func (m *memoCache) store(key string, res *cachedRun) int {
+	if m.results == nil || key == "" {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stamp++
-	if e, ok := m.entries[key]; ok {
-		e.stamp = m.stamp
-		return 0
-	}
-	e := &cachedRun{
-		output:  output,
-		metrics: metrics,
-		groups:  groups,
-		bytes:   artifactBytes(output, metrics, groups),
-		stamp:   m.stamp,
-	}
-	m.entries[key] = e
-	m.total += e.bytes
-	evicted := 0
-	for m.total > m.budget {
-		var victimKey string
-		var victim *cachedRun
-		for k, c := range m.entries {
-			if c == e {
-				continue
-			}
-			if victim == nil || c.stamp < victim.stamp {
-				victimKey, victim = k, c
-			}
-		}
-		if victim == nil {
-			break
-		}
-		m.total -= victim.bytes
-		delete(m.entries, victimKey)
-		evicted++
-	}
-	return evicted
+	return len(m.results.Add(key, res))
 }
 
 // setInflightLocked registers id as the leader run for key. Callers hold
 // m.mu.
 func (m *memoCache) setInflightLocked(key, id string) {
-	if m.enabled {
+	if m.inflight != nil {
 		m.inflight[key] = id
 	}
 }
@@ -182,7 +143,7 @@ func (m *memoCache) setInflightLocked(key, id string) {
 // terminal state. The id guard keeps a cache-completed run (which was
 // never a leader) from unregistering a new cold leader of the same spec.
 func (m *memoCache) release(key, id string) {
-	if !m.enabled || key == "" {
+	if m.inflight == nil || key == "" {
 		return
 	}
 	m.mu.Lock()
@@ -195,17 +156,18 @@ func (m *memoCache) release(key, id string) {
 // stats reports the store's entry count and accounted bytes, for the
 // cache gauges.
 func (m *memoCache) stats() (entries int, bytes uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries), m.total
+	if m.results == nil {
+		return 0, 0
+	}
+	return m.results.Len(), m.results.TotalBytes()
 }
 
 // artifactBytes approximates one result's host footprint: the output
 // bytes plus every snapshot entry's key and value. Map overhead is not
 // modeled; the budget is a bound on payload, not allocator truth.
-func artifactBytes(output []byte, metrics obs.Snapshot, groups map[string]obs.Snapshot) uint64 {
-	n := uint64(len(output)) + snapshotBytes(metrics)
-	for k, g := range groups {
+func artifactBytes(res *cachedRun) uint64 {
+	n := uint64(len(res.output)) + snapshotBytes(res.metrics)
+	for k, g := range res.groups {
 		n += uint64(len(k)) + snapshotBytes(g)
 	}
 	return n

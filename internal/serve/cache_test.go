@@ -147,53 +147,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestMemoCacheLRUEviction(t *testing.T) {
-	m := newMemoCache(true, 100)
-	out := bytes.Repeat([]byte("x"), 40)
-	if ev := m.store("a", out, nil, nil); ev != 0 {
-		t.Fatalf("store a evicted %d", ev)
-	}
-	if ev := m.store("b", out, nil, nil); ev != 0 {
-		t.Fatalf("store b evicted %d", ev)
-	}
-	// Touch a so b becomes the LRU victim.
-	m.mu.Lock()
-	if m.lookupLocked("a") == nil {
-		m.mu.Unlock()
-		t.Fatal("a not cached")
-	}
-	m.mu.Unlock()
-	if ev := m.store("c", out, nil, nil); ev != 1 {
-		t.Fatalf("store c evicted %d entries, want 1", ev)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.entries["b"] != nil {
-		t.Error("b survived eviction; want it chosen as LRU")
-	}
-	if m.entries["a"] == nil || m.entries["c"] == nil {
-		t.Error("a (recently used) and c (just stored) must survive")
-	}
-	if m.total != 80 {
-		t.Errorf("accounted bytes = %d, want 80", m.total)
-	}
-}
-
-func TestMemoCacheStoreIdempotent(t *testing.T) {
-	m := newMemoCache(true, 1000)
-	first := []byte("first")
-	m.store("k", first, nil, nil)
-	m.store("k", []byte("second-different-bytes"), nil, nil)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if got := m.entries["k"]; got == nil || !bytes.Equal(got.output, first) {
-		t.Error("second store of the same key must not replace the artifacts")
-	}
-	if n := len(m.entries); n != 1 {
-		t.Errorf("entries = %d, want 1", n)
-	}
-}
-
 func TestArtifactETag(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1}, true)
 	_, rn := submit(t, ts, `{"experiment":"array","quick":true}`)

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"activepages/internal/lru"
+	"activepages/internal/mem"
 	"activepages/internal/obs"
 	"activepages/internal/run"
 )
@@ -124,26 +126,32 @@ func (r *Run) view() Run {
 }
 
 // registry is the server's run table: id allocation, lookup, listing, and
-// retention. Completed and failed runs are capped at retain entries:
-// finalize evicts the oldest terminal runs' artifacts (output, metrics,
-// trace) beyond the cap, keeping each evicted run's lifecycle record as a
-// tombstone, so the registry's memory stays bounded under sustained load.
+// retention. Completed and failed runs keep their artifacts (output,
+// metrics, trace) for the newest retain of them only: finalize evicts the
+// oldest terminal runs' artifacts beyond the cap, keeping each evicted
+// run's lifecycle record as a tombstone. That bounds artifact memory, not
+// the table: run records are never deleted, and every submission
+// (cache hits included) adds one.
 type registry struct {
-	mu     sync.Mutex
-	next   int
-	runs   map[string]*Run
-	retain int
+	mu   sync.Mutex
+	next int
+	runs map[string]*Run
 	// instance, when set, prefixes every run id ("b0-r000001"), making ids
 	// globally unique across a sharded fleet so a router can route a GET
 	// by id to the shard that owns it.
 	instance string
-	// terminal lists terminal (done/failed), not-yet-evicted run ids in
-	// completion order — the eviction queue.
-	terminal []string
+	// terminal holds the terminal (done/failed), not-yet-evicted runs at
+	// cost 1 each. It is never read with Get, so its recency order is
+	// completion order and eviction drops the oldest terminal run.
+	terminal *lru.Cache[string, *Run]
 }
 
 func newRegistry(retain int, instance string) *registry {
-	return &registry{runs: make(map[string]*Run), retain: retain, instance: instance}
+	return &registry{
+		runs:     make(map[string]*Run),
+		instance: instance,
+		terminal: lru.New[string](uint64(retain), func(*Run) uint64 { return 1 }),
+	}
 }
 
 // add registers a freshly submitted run and assigns its id. The run's
@@ -173,32 +181,25 @@ func (g *registry) add(req Request, spec, rid string, now time.Time, trace *obs.
 	return r
 }
 
-// finalize enqueues a terminal run for retention accounting and evicts
-// the oldest terminal runs beyond the cap. It returns how many runs were
-// evicted by this call, for the server's counter.
+// finalize enters a terminal run into retention and turns the oldest
+// terminal runs beyond the cap into tombstones. It returns how many runs
+// were evicted by this call, for the server's counter.
 func (g *registry) finalize(id string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.runs[id]; !ok {
+	r, ok := g.runs[id]
+	if !ok {
 		return 0
 	}
-	g.terminal = append(g.terminal, id)
-	evicted := 0
-	for len(g.terminal) > g.retain {
-		victim := g.terminal[0]
-		g.terminal = g.terminal[1:]
-		r, ok := g.runs[victim]
-		if !ok {
-			continue
-		}
+	evicted := g.terminal.Add(id, r)
+	for _, r := range evicted {
 		r.Evicted = true
 		r.output = nil
 		r.metrics = nil
 		r.groups = nil
 		r.trace = nil
-		evicted++
 	}
-	return evicted
+	return len(evicted)
 }
 
 // get returns a consistent copy of one run.
@@ -263,6 +264,12 @@ func (req Request) validate(known func(string) bool) error {
 	}
 	if req.PageBytes != 0 && (req.PageBytes&(req.PageBytes-1)) != 0 {
 		return fmt.Errorf("page_bytes must be a power of two, got %d", req.PageBytes)
+	}
+	// The simulated machine allocates its pages on the host, so an
+	// unbounded size would exhaust the daemon's memory, which is fatal
+	// rather than a recoverable run error.
+	if req.PageBytes > mem.DefaultPageBytes {
+		return fmt.Errorf("page_bytes must be at most %d (the paper's page size), got %d", mem.DefaultPageBytes, req.PageBytes)
 	}
 	switch req.Backend {
 	case "", "radram", "simdram", "all":

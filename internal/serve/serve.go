@@ -51,8 +51,9 @@ type Config struct {
 	JobsPerRun int
 	// RetainRuns caps how many completed or failed runs keep their
 	// artifacts: beyond it the oldest terminal runs are evicted oldest
-	// first — artifacts dropped, lifecycle tombstone kept — so the
-	// registry stays bounded under sustained load. Values <= 0 use 256.
+	// first — artifacts dropped, lifecycle tombstone kept. It bounds
+	// artifact memory only; run records are never deleted. Values <= 0
+	// use 256.
 	RetainRuns int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// wall-clock profiling of the daemon itself.
@@ -427,7 +428,7 @@ func (s *Server) execute(id string) {
 		// Memoize before finish releases the singleflight registration, so
 		// there is no window where a duplicate spec neither attaches to
 		// this run nor finds its result cached.
-		if evicted := s.memo.store(spec, res.out, res.snap, res.groups); evicted > 0 {
+		if evicted := s.memo.store(spec, &cachedRun{output: res.out, metrics: res.snap, groups: res.groups}); evicted > 0 {
 			s.cacheEvicted.Add(uint64(evicted))
 		}
 		trace.SpanArg(obs.TIDWallLifecycle, "serve", "artifact_write",

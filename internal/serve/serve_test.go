@@ -168,6 +168,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"experiment":"array","nope":1}`,
 		`{"experiment":"array","page_bytes":3000}`,
 		`{"experiment":"array","backend":"fpga"}`,
+		`{"experiment":"array","quick":true,"page_bytes":1099511627776}`,
 	} {
 		if resp, _ := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit(%s): HTTP %d, want 400", body, resp.StatusCode)
