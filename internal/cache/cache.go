@@ -76,8 +76,14 @@ type line struct {
 
 // Cache is one level of a write-back, write-allocate cache.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines holds every set's ways back to back: set s occupies
+	// lines[s*assoc : (s+1)*assoc]. It is allocated on the first write and
+	// may be shared with checkpoints; only owned permits writing it in
+	// place (see own).
+	lines []line
+	owned bool
+	assoc uint64
 	nsets uint64
 	// lineShift/setMask/setShift turn locate's divisions into shifts.
 	// LineBytes is always a power of two; the set count is in every real
@@ -102,12 +108,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Assoc)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*uint64(cfg.Assoc))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Assoc) : (uint64(i)+1)*uint64(cfg.Assoc)]
-	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
+	c := &Cache{cfg: cfg, assoc: uint64(cfg.Assoc), nsets: nsets}
 	c.lineShift = uint(bits.TrailingZeros64(cfg.LineBytes))
 	if nsets&(nsets-1) == 0 {
 		c.setsPow2 = true
@@ -119,6 +120,27 @@ func New(cfg Config) *Cache {
 
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() uint64 { return c.cfg.LineBytes }
+
+// own is the cache's write barrier, called on entry to every method that
+// mutates lines: it allocates the array on first use (a branch machine
+// that only restores never pays for one) and copies an array still shared
+// with a checkpoint, so a shared array is never written in place.
+func (c *Cache) own() {
+	if c.owned {
+		return
+	}
+	if c.lines == nil {
+		c.lines = make([]line, c.nsets*c.assoc)
+	} else {
+		c.lines = append([]line(nil), c.lines...)
+	}
+	c.owned = true
+}
+
+// ways returns set's ways. The array must exist (see own).
+func (c *Cache) ways(set uint64) []line {
+	return c.lines[set*c.assoc : (set+1)*c.assoc]
+}
 
 func (c *Cache) locate(addr uint64) (set uint64, tag uint64) {
 	lineAddr := addr >> c.lineShift
@@ -142,9 +164,10 @@ type Result struct {
 // any dirty eviction. Callers that need multi-line accesses should iterate
 // line by line (see AccessRange).
 func (c *Cache) Access(addr uint64, write bool) Result {
+	c.own()
 	set, tag := c.locate(addr)
 	c.clock++
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
@@ -190,8 +213,9 @@ func (c *Cache) RepeatHit(addr uint64, n uint64, write bool) {
 	if n == 0 {
 		return
 	}
+	c.own()
 	set, tag := c.locate(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.clock += n
@@ -225,11 +249,12 @@ func (c *Cache) StreamRepeat(addrs, counts []uint64, writes []bool, k uint64) ui
 	if k == 0 || perRound == 0 {
 		return 0
 	}
+	c.own()
 	base := c.clock + (k-1)*perRound
 	var prefix uint64
 	for j, addr := range addrs {
 		set, tag := c.locate(addr)
-		ways := c.sets[set]
+		ways := c.ways(set)
 		prefix += counts[j]
 		for i := range ways {
 			if ways[i].valid && ways[i].tag == tag {
@@ -251,17 +276,6 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 	return (tag*c.nsets + set) * c.cfg.LineBytes
 }
 
-// LinesIn returns the number of distinct cache lines spanned by [addr,
-// addr+size).
-func (c *Cache) LinesIn(addr, size uint64) uint64 {
-	if size == 0 {
-		return 0
-	}
-	first := addr / c.cfg.LineBytes
-	last := (addr + size - 1) / c.cfg.LineBytes
-	return last - first + 1
-}
-
 // InvalidateRange drops any lines overlapping [addr, addr+size), discarding
 // dirty data (the invalidator — an Active-Page function — is the new owner
 // of those bytes). Returns the number of lines dropped.
@@ -269,11 +283,12 @@ func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 	if size == 0 {
 		return 0
 	}
+	c.own()
 	var dropped uint64
 	first := addr &^ (c.cfg.LineBytes - 1)
 	for a := first; a < addr+size; a += c.cfg.LineBytes {
 		set, tag := c.locate(a)
-		ways := c.sets[set]
+		ways := c.ways(set)
 		for i := range ways {
 			if ways[i].valid && ways[i].tag == tag {
 				ways[i] = line{}
@@ -284,19 +299,4 @@ func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 		}
 	}
 	return dropped
-}
-
-// Flush invalidates the entire cache, returning the number of dirty lines
-// that would have been written back.
-func (c *Cache) Flush() uint64 {
-	var dirty uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
-		}
-	}
-	return dirty
 }

@@ -14,8 +14,11 @@ func tiny() *Cache {
 // lookup reports whether the line containing addr is resident without
 // touching LRU state or statistics.
 func lookup(c *Cache, addr uint64) bool {
+	if c.lines == nil {
+		return false
+	}
 	set, tag := c.locate(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.ways(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -26,11 +29,9 @@ func lookup(c *Cache, addr uint64) bool {
 // residentLines counts valid lines.
 func residentLines(c *Cache) int {
 	n := 0
-	for _, set := range c.sets {
-		for _, w := range set {
-			if w.valid {
-				n++
-			}
+	for _, w := range c.lines {
+		if w.valid {
+			n++
 		}
 	}
 	return n
@@ -157,38 +158,6 @@ func TestInvalidateUnalignedRange(t *testing.T) {
 	// Range [30, 35) touches both lines.
 	if dropped := c.InvalidateRange(30, 5); dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := tiny()
-	c.Access(0, true)
-	c.Access(32, false)
-	dirty := c.Flush()
-	if dirty != 1 {
-		t.Fatalf("dirty on flush = %d, want 1", dirty)
-	}
-	if residentLines(c) != 0 {
-		t.Fatal("flush left lines resident")
-	}
-}
-
-func TestLinesIn(t *testing.T) {
-	c := tiny()
-	cases := []struct {
-		addr, size, want uint64
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 32, 1},
-		{0, 33, 2},
-		{31, 2, 2},
-		{0, 128, 4},
-	}
-	for _, cs := range cases {
-		if got := c.LinesIn(cs.addr, cs.size); got != cs.want {
-			t.Errorf("LinesIn(%d,%d) = %d, want %d", cs.addr, cs.size, got, cs.want)
-		}
 	}
 }
 

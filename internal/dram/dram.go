@@ -153,17 +153,3 @@ func (d *Device) AccessTime(addr uint64) sim.Duration {
 	}
 	return d.cfg.AccessTime
 }
-
-// CloseAll closes every open row (e.g. after a refresh burst).
-func (d *Device) CloseAll() { clear(d.openRow) }
-
-// RefreshOverhead reports the fraction of time a subarray is unavailable due
-// to refresh, as a pure ratio. The per-subarray logic added by RADram is
-// assumed to hide this from the processor (paper, "Power" discussion), so
-// the simulator applies it only to in-page logic throughput when asked.
-func (d *Device) RefreshOverhead() float64 {
-	if d.cfg.RefreshInterval == 0 {
-		return 0
-	}
-	return d.cfg.RefreshTime.Seconds() / d.cfg.RefreshInterval.Seconds()
-}

@@ -71,15 +71,6 @@ func TestSubarrayIndex(t *testing.T) {
 	}
 }
 
-func TestCloseAll(t *testing.T) {
-	d := New(DefaultConfig())
-	d.AccessTime(0)
-	d.CloseAll()
-	if got := d.AccessTime(0); got != 50*sim.Nanosecond {
-		t.Fatalf("access after CloseAll = %v, want full latency", got)
-	}
-}
-
 func TestZeroAccessTime(t *testing.T) {
 	// Figure 8's sweep includes a 0 ns miss latency point.
 	cfg := DefaultConfig()
@@ -91,20 +82,6 @@ func TestZeroAccessTime(t *testing.T) {
 	}
 	if d.Stats.Accesses != 2 {
 		t.Fatal("accesses not counted in zero-latency mode")
-	}
-}
-
-func TestRefreshOverhead(t *testing.T) {
-	d := New(DefaultConfig())
-	got := d.RefreshOverhead()
-	want := (60 * sim.Nanosecond).Seconds() / (64 * sim.Millisecond).Seconds()
-	if got != want {
-		t.Fatalf("refresh overhead = %v, want %v", got, want)
-	}
-	cfg := DefaultConfig()
-	cfg.RefreshInterval = 0
-	if New(cfg).RefreshOverhead() != 0 {
-		t.Fatal("zero refresh interval should report zero overhead")
 	}
 }
 

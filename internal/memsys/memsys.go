@@ -356,9 +356,3 @@ func (h *Hierarchy) fillLine(addr uint64, t sim.Duration, r1 cache.Result) sim.D
 func (h *Hierarchy) Invalidate(addr, size uint64) uint64 {
 	return h.L1D.InvalidateRange(addr, size) + h.L2.InvalidateRange(addr, size)
 }
-
-// FlushData empties the data-side caches (used between experiment runs).
-func (h *Hierarchy) FlushData() {
-	h.L1D.Flush()
-	h.L2.Flush()
-}

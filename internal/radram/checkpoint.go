@@ -13,9 +13,12 @@ import (
 // an Active-Page machine or vice versa.
 var errShapeMismatch = errors.New("radram: checkpoint/machine shape mismatch (conventional vs active-page)")
 
-// Checkpoint is a deep-copy snapshot of a whole machine's simulated state:
-// store contents, memory-hierarchy state, processor ledger, and (on an
-// Active-Page machine) the Active-Page system. Restoring it into a machine
+// Checkpoint is a snapshot of a whole machine's simulated state: store
+// contents, memory-hierarchy state, processor ledger, and (on an
+// Active-Page machine) the Active-Page system. Store frames and cache line
+// arrays are shared copy-on-write with the machine and with every machine
+// restored from the checkpoint, which therefore costs little to take or
+// restore and never changes afterwards. Restoring it into a machine
 // built from the same configuration resumes simulation byte-identically —
 // in timing, statistics, histograms, and data — which is what lets a sweep
 // simulate a shared warm-up prefix once and branch every point from the
@@ -29,7 +32,8 @@ type Checkpoint struct {
 }
 
 // Bytes estimates the checkpoint's host-memory footprint, for cache
-// accounting. Store frames dominate.
+// accounting, counting shared frames and arrays in full. Store frames
+// dominate.
 func (c *Checkpoint) Bytes() uint64 {
 	n := c.store.Bytes() + c.hier.Bytes()
 	if c.ap != nil {

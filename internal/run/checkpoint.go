@@ -6,7 +6,8 @@
 // completed run's final machine state by the canonical configuration that
 // produced it; a later point with the same key builds a fresh machine,
 // restores the checkpoint, and reads its measurements — byte-identical to
-// re-simulating, at memcpy cost.
+// re-simulating, at the cost of cloning the store's frame index (frames and
+// cache arrays are shared copy-on-write).
 
 package run
 

@@ -7,6 +7,7 @@ import (
 
 	"activepages/internal/apps"
 	"activepages/internal/apps/array"
+	"activepages/internal/apps/layout"
 	"activepages/internal/apps/median"
 	"activepages/internal/memsys"
 	"activepages/internal/obs"
@@ -28,11 +29,25 @@ func machineJSON(t *testing.T, m *radram.Machine) []byte {
 	return j
 }
 
-// TestCheckpointRoundTrip is the deep-copy property test: after any run, a
-// checkpoint restored into a fresh machine of the same configuration must
-// reproduce the source's observable state exactly; an identical suffix
-// simulated on both must keep them identical (nothing hidden was lost);
-// and mutating either machine afterwards must not disturb the checkpoint
+// dataWindow is the span of simulated memory storeBytes reads: the
+// benchmark pages and everything the suffix below writes.
+const dataWindow = 4 * 64 * 1024
+
+// storeBytes reads the machine's data pages.
+func storeBytes(m *radram.Machine) []byte {
+	p := make([]byte, dataWindow)
+	m.Store.Read(layout.DataBase, p)
+	return p
+}
+
+// TestCheckpointRoundTrip is the checkpoint property test: after any run,
+// a checkpoint restored into a fresh machine of the same configuration
+// must reproduce the source's observable state — metrics and memory
+// contents — exactly; an identical suffix simulated on both must keep them
+// identical (nothing hidden was lost); and once source and branch have
+// both moved on, writing into the store frames and cache arrays they share
+// with the checkpoint, a second branch must still start from exactly the
+// first branch's pre-suffix state and end the same suffix in its state
 // (nothing is aliased).
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
@@ -52,6 +67,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		ck := m.Checkpoint()
 		atCkpt := machineJSON(t, m)
+		atData := storeBytes(m)
 
 		m2 := build()
 		if err := m2.Restore(ck); err != nil {
@@ -60,12 +76,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !bytes.Equal(machineJSON(t, m2), atCkpt) {
 			t.Fatalf("round %d: restored state differs from source at checkpoint", round)
 		}
+		if !bytes.Equal(storeBytes(m2), atData) {
+			t.Fatalf("round %d: restored memory differs from source at checkpoint", round)
+		}
 
 		// Identical suffix on source and branch: any state the checkpoint
-		// missed (cache lines, LRU stamps, DRAM open rows, ledger) makes
-		// the timing or statistics diverge here.
+		// missed (cache lines, LRU stamps, DRAM open rows, ledger, memory)
+		// makes the timing, statistics or data diverge here. The writes
+		// land in the benchmark's pages, frames the checkpoint shares.
 		suffix := func(m *radram.Machine) {
 			srng := rand.New(rand.NewSource(int64(round)))
+			for i := 0; i < 64; i++ {
+				p := make([]byte, srng.Intn(256)+1)
+				srng.Read(p)
+				m.Store.Write(layout.DataBase+uint64(srng.Intn(dataWindow-len(p))), p)
+			}
 			for i := 0; i < 512; i++ {
 				addr := uint64(srng.Intn(1 << 22))
 				size := uint64(srng.Intn(64) + 1)
@@ -80,19 +105,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		suffix(m)
 		suffix(m2)
-		afterSuffix := machineJSON(t, m)
-		if !bytes.Equal(machineJSON(t, m2), afterSuffix) {
+		afterSuffix, afterData := machineJSON(t, m2), storeBytes(m2)
+		if !bytes.Equal(machineJSON(t, m), afterSuffix) || !bytes.Equal(storeBytes(m), afterData) {
 			t.Fatalf("round %d: source and branch diverge after identical suffix", round)
 		}
+		if bytes.Equal(afterData, atData) {
+			t.Fatalf("round %d: suffix wrote nothing", round)
+		}
 
-		// Isolation: both machines have moved past the checkpoint; a third
-		// restore must still see the original state, byte for byte.
+		// Isolation: both machines have moved past the checkpoint; a
+		// second branch must still see the first branch's pre-suffix
+		// state, byte for byte, and reach its post-suffix state.
 		m3 := build()
 		if err := m3.Restore(ck); err != nil {
 			t.Fatalf("round %d: second restore: %v", round, err)
 		}
-		if !bytes.Equal(machineJSON(t, m3), atCkpt) {
+		if !bytes.Equal(machineJSON(t, m3), atCkpt) || !bytes.Equal(storeBytes(m3), atData) {
 			t.Fatalf("round %d: checkpoint mutated by later simulation", round)
+		}
+		suffix(m3)
+		if !bytes.Equal(machineJSON(t, m3), afterSuffix) || !bytes.Equal(storeBytes(m3), afterData) {
+			t.Fatalf("round %d: second branch diverges from the first after the same suffix", round)
 		}
 	}
 }

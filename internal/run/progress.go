@@ -92,7 +92,9 @@ func (s ProgressSnapshot) ETA(jobs int) time.Duration {
 //
 // The callback fields are read without synchronization and must be set
 // before the runner starts. Callbacks are invoked outside the tracker's
-// lock, from worker goroutines, so they must be safe for concurrent use.
+// lock, from worker goroutines, so they may call Snapshot. OnPoint calls
+// are serialized and arrive in Done order; the other callbacks must be
+// safe for concurrent use.
 type Progress struct {
 	// OnPoint, when set, is invoked after each scheduled point completes.
 	OnPoint func(PointEvent)
@@ -104,6 +106,9 @@ type Progress struct {
 
 	mu   sync.Mutex
 	snap ProgressSnapshot
+	// deliver is held from numbering a point event through its OnPoint
+	// call, so events reach the callback in Done order.
+	deliver sync.Mutex
 }
 
 // SetLabel records the experiment now dispatching. Nil-safe.
@@ -136,6 +141,8 @@ func (p *Progress) pointDone(start time.Time, wall time.Duration, err error) {
 	if p == nil {
 		return
 	}
+	p.deliver.Lock()
+	defer p.deliver.Unlock()
 	p.mu.Lock()
 	p.snap.PointsDone++
 	p.snap.LastPointMS = wall.Milliseconds()
