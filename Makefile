@@ -21,13 +21,12 @@ vet:
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' .
 
-# Hot-path microbenchmarks: store/cache/DRAM/hierarchy/CPU fast paths, the
-# stream-folding layer, and a machine checkpoint/restore branch. Every
-# listed package matches at least one name.
+# Hot-path microbenchmarks: store/cache/DRAM/hierarchy/CPU fast paths and
+# the stream-folding layer. Every listed package matches at least one name.
 microbench:
-	$(GO) test -bench 'Access|Store|CPU|Stream|Checkpoint' -benchmem -run '^$$' \
+	$(GO) test -bench 'Access|Store|CPU|Stream' -benchmem -run '^$$' \
 		./internal/mem/ ./internal/cache/ ./internal/dram/ \
-		./internal/memsys/ ./internal/proc/ ./internal/radram/
+		./internal/memsys/ ./internal/proc/
 
 # One-command check of the evaluation-loop speedup criterion: wall-clock of
 # the full quick sweep on a single worker.

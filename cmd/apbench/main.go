@@ -78,7 +78,7 @@ func realMain() error {
 		l2         = flag.Bool("l2", false, "with fig5: sweep the L2 instead of the L1D")
 		csvDir     = flag.String("csv", "", "also write each figure as CSV into this directory")
 		jobs       = flag.Int("jobs", runtime.NumCPU(), "simulation worker-pool width")
-		nocheck    = flag.Bool("nocheckpoint", false, "disable checkpoint/branch sweep reuse (A/B timing)")
+		nocheck    = flag.Bool("nocheckpoint", false, "disable the machine-run result memo across sweep points (A/B timing)")
 		jsonOut    = flag.Bool("json", false, "append a merged metrics snapshot as JSON")
 		reportOut  = flag.Bool("report", false, "append a bottleneck attribution report")
 		traceFile  = flag.String("trace", "", "write a Chrome trace of one traced run to this file")
@@ -133,10 +133,10 @@ func realMain() error {
 
 	r := &run.Runner{Jobs: *jobs}
 	if !*nocheck {
-		// Checkpoint/branch: sweep points sharing a canonical configuration
-		// simulate once and branch from the stored machine state. Output is
-		// byte-identical with or without it; -nocheckpoint exists for A/B
-		// timing and bisection.
+		// Result memo: machine runs sharing a canonical configuration
+		// simulate once and later points read what they measured. Output
+		// is byte-identical with or without it; -nocheckpoint exists for
+		// A/B timing and bisection.
 		r.Checkpoints = run.NewCheckpointCache(0)
 	}
 	if *jsonOut || *reportOut {

@@ -85,7 +85,7 @@ func realMain() error {
 		logLevel   = flag.String("loglevel", "info", "log level: debug, info, warn, error")
 		instance   = flag.String("instance", "", "fleet instance id prefixed to run ids (e.g. b0)")
 		nocache    = flag.Bool("nocache", false, "disable the content-addressed result cache (always recompute)")
-		nocheck    = flag.Bool("nocheckpoint", false, "disable checkpoint/branch sweep reuse across runs (A/B timing)")
+		nocheck    = flag.Bool("nocheckpoint", false, "disable the machine-run result memo shared across runs (A/B timing)")
 		cacheMB    = flag.Int("cachemb", 0, "result cache byte budget in MiB (0 = default 256)")
 	)
 	flag.Parse()

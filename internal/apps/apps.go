@@ -118,11 +118,11 @@ func Measure(b Benchmark, cfg radram.Config, pages float64) (Measurement, error)
 	return MeasureWith(nil, b, cfg, pages)
 }
 
-// MeasureWith is Measure through a runner: the runner's checkpoint cache
-// (when attached) lets this point reuse the final state of an identical
-// earlier run instead of simulating from cold, and the runner's context is
-// polled from inside the simulation so a canceled sweep point unwinds
-// mid-run. A nil runner measures cold and uncancelable.
+// MeasureWith is Measure through a runner: the runner's result memo (when
+// attached) lets this point reuse what an identical earlier run measured
+// instead of simulating from cold, and the runner's context is polled from
+// inside the simulation so a canceled sweep point unwinds mid-run. A nil
+// runner measures cold and uncancelable.
 func MeasureWith(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (Measurement, error) {
 	m, _, _, _, err := measure(r, b, cfg, pages)
 	return m, err
@@ -141,21 +141,20 @@ func apPrefix(cfg radram.Config) string {
 // MeasureObservedWith is MeasureWith plus the pair's merged metrics
 // snapshot: the conventional machine's counters under "conv.", the
 // Active-Page machine's under its backend namespace ("rad." for RADram,
-// else the backend name). When the runner carries a checkpoint cache, each
+// else the backend name). When the runner carries a result memo, each
 // machine's namespace additionally gets one diag.checkpoint_* event
 // recording how this point was satisfied: checkpoint_cold (a full
-// simulation ran), or checkpoint_hit plus checkpoint_branch (a cached
-// checkpoint was found and successfully restored into a branch machine).
-// Diagnostic keys describe the simulation pipeline, not the simulated
-// machine, so the equivalence suites strip them while -json and /metrics
-// expose them.
+// simulation ran), or checkpoint_hit plus checkpoint_branch (the memo
+// answered). Diagnostic keys describe the simulation pipeline, not the
+// simulated machine, so the equivalence suites strip them while -json and
+// /metrics expose them.
 func MeasureObservedWith(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (Measurement, obs.Snapshot, error) {
 	m, conv, rad, hits, err := measure(r, b, cfg, pages)
 	if err != nil {
 		return m, nil, err
 	}
-	snap := conv.Snapshot().WithPrefix("conv.")
-	snap.Merge(rad.Snapshot().WithPrefix(apPrefix(cfg)))
+	snap := conv.Metrics.WithPrefix("conv.")
+	snap.Merge(rad.Metrics.WithPrefix(apPrefix(cfg)))
 	if r.CheckpointCache() != nil {
 		injectCheckpointDiag(snap, "conv.", hits[0])
 		injectCheckpointDiag(snap, apPrefix(cfg), hits[1])
@@ -175,68 +174,65 @@ func injectCheckpointDiag(snap obs.Snapshot, prefix string, hit bool) {
 	}
 }
 
-// runMachine produces a machine holding the final state of b run at the
-// given problem size: through the runner's checkpoint cache when one is
-// attached (simulating cold exactly once per canonical key and branching
-// every other request from the stored checkpoint), from cold otherwise.
-// build constructs the right fresh machine shape; key is the run's
-// canonical checkpoint key.
+// runMachine returns what b measured at the given problem size on the
+// machine build constructs: from the runner's result memo when one is
+// attached (simulating cold exactly once per canonical key), from a cold
+// run otherwise. key is the run's canonical memo key. The returned Result
+// may be shared; callers must not write to it.
 func runMachine(r *run.Runner, b Benchmark, pages float64, key string,
-	build func() (*run.Machine, error)) (*run.Machine, bool, error) {
-	hook := r.InterruptHook()
-	cold := func() (*run.Machine, error) {
+	build func() (*run.Machine, error)) (*run.Result, bool, error) {
+	cold := func() (*run.Result, error) {
 		m, err := build()
 		if err != nil {
 			return nil, err
 		}
-		m.CPU.Interrupt = hook
+		m.CPU.Interrupt = r.InterruptHook()
 		if err := b.Run(m.Machine, pages); err != nil {
 			return nil, fmt.Errorf("%s (%s, %g pages): %w", b.Name(), m.BackendName(), pages, err)
 		}
-		m.CPU.Interrupt = nil
-		return m, nil
+		return result(m), nil
 	}
 	cache := r.CheckpointCache()
 	if cache == nil {
-		m, err := cold()
-		return m, false, err
+		res, err := cold()
+		return res, false, err
 	}
-	var coldMachine *run.Machine
-	ckpt, hit, err := cache.Do(key, func() (*radram.Checkpoint, error) {
-		m, err := cold()
-		if err != nil {
-			return nil, err
-		}
-		coldMachine = m
-		return m.Machine.Checkpoint(), nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if !hit {
-		return coldMachine, false, nil
-	}
-	// Branch: a fresh machine of the same shape adopts the cached final
-	// state. Its metrics registry reads the restored components, so its
-	// snapshot is byte-identical to the cold run's.
-	m, err := build()
-	if err != nil {
-		return nil, false, err
-	}
-	if err := m.Machine.Restore(ckpt); err != nil {
-		return nil, false, err
-	}
-	return m, true, nil
+	return cache.Do(key, cold)
 }
 
-// measure builds the machine pair through the run layer, executes b on
-// both (or branches either side from the runner's checkpoint cache), and
-// extracts the paper's metrics. hits reports per machine — conventional
-// then Active-Page — whether the state came from a checkpoint branch.
-// When the runner tracks progress, the completed measurement — including
-// its wall-clock cost and both checkpoint outcomes — is reported through
-// run.Runner.NoteMeasure; the untracked path never reads the wall clock.
-func measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas Measurement, conv, rad *run.Machine, hits [2]bool, err error) {
+// result reads what a finished machine run measured: its clock, its
+// processor ledger, the Table 4 sums over every Active-Page page that ran,
+// and its metrics snapshot.
+func result(m *run.Machine) *run.Result {
+	res := &run.Result{Elapsed: m.Elapsed(), CPU: m.CPU.Stats, Metrics: m.Snapshot()}
+	if m.AP == nil {
+		return res
+	}
+	for _, id := range KnownGroups {
+		g, ok := m.AP.Group(core.GroupID(id))
+		if !ok {
+			continue
+		}
+		for _, p := range g.Pages() {
+			if p.Activations == 0 {
+				continue
+			}
+			res.ActivePages++
+			res.ActivationTime += p.ActivationTime
+			res.BusyTime += p.BusyTime
+		}
+	}
+	return res
+}
+
+// measure runs b on the machine pair built from cfg (or reads either side
+// from the runner's result memo) and extracts the paper's metrics. hits
+// reports per machine — conventional then Active-Page — whether the memo
+// answered. When the runner tracks progress, the completed measurement —
+// including its wall-clock cost and both memo outcomes — is reported
+// through run.Runner.NoteMeasure; the untracked path never reads the wall
+// clock.
+func measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas Measurement, conv, rad *run.Result, hits [2]bool, err error) {
 	if r.ProgressTracker() != nil {
 		start := time.Now()
 		defer func() {
@@ -252,7 +248,7 @@ func measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas
 		return Measurement{}, nil, nil, hits, err
 	}
 	// Poll between the pair's runs so a cancellation arriving while the
-	// conventional side was branching (no simulation to poll from) still
+	// conventional side was a memo hit (no simulation to poll from) still
 	// stops before the Active-Page simulation starts.
 	if hook := r.InterruptHook(); hook != nil {
 		if cerr := hook(); cerr != nil {
@@ -270,46 +266,30 @@ func measure(r *run.Runner, b Benchmark, cfg radram.Config, pages float64) (meas
 	meas = Measurement{
 		Benchmark:  b.Name(),
 		Pages:      pages,
-		ConvTime:   conv.Elapsed(),
-		RadTime:    rad.Elapsed(),
-		NonOverlap: rad.CPU.Stats.NonOverlapFraction(),
+		ConvTime:   conv.Elapsed,
+		RadTime:    rad.Elapsed,
+		NonOverlap: rad.CPU.NonOverlapFraction(),
 	}
 
 	// Per-page Table 4 metrics from the Active-Page system's ledger.
-	var nPages uint64
-	var actTotal, busyTotal sim.Duration
-	for _, id := range KnownGroups {
-		g, ok := rad.AP.Group(core.GroupID(id))
-		if !ok {
-			continue
-		}
-		for _, p := range g.Pages() {
-			if p.Activations == 0 {
-				continue
-			}
-			nPages++
-			actTotal += p.ActivationTime
-			busyTotal += p.BusyTime
-		}
-	}
-	if nPages > 0 {
-		meas.ActivationTime = actTotal / sim.Duration(nPages)
-		meas.BusyTime = busyTotal / sim.Duration(nPages)
+	if n := rad.ActivePages; n > 0 {
+		meas.ActivationTime = rad.ActivationTime / sim.Duration(n)
+		meas.BusyTime = rad.BusyTime / sim.Duration(n)
 		// T_P: per-page processor time that is neither dispatch nor a
 		// stall on page computation — post-activated work in the model of
 		// Section 7.4 (result summarization, operand multiplies, cross-
 		// page moves).
-		st := rad.CPU.Stats
-		post := st.TotalTime() - st.NonOverlapTime
-		if post > actTotal {
-			meas.PostTime = (post - actTotal) / sim.Duration(nPages)
+		post := rad.CPU.TotalTime() - rad.CPU.NonOverlapTime
+		if post > rad.ActivationTime {
+			meas.PostTime = (post - rad.ActivationTime) / sim.Duration(n)
 		}
 	}
 	return meas, conv, rad, hits, nil
 }
 
-// KnownGroups lists every group id a benchmark may allocate, so Measure
-// can walk per-page statistics without coupling to app internals.
+// KnownGroups lists every group id a benchmark may allocate, so a
+// machine's Result can sum per-page statistics without coupling to app
+// internals.
 var KnownGroups = []string{
 	"array", "database", "median", "lcs", "matrix", "mpeg",
 }

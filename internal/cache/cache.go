@@ -78,11 +78,8 @@ type line struct {
 type Cache struct {
 	cfg Config
 	// lines holds every set's ways back to back: set s occupies
-	// lines[s*assoc : (s+1)*assoc]. It is allocated on the first write and
-	// may be shared with checkpoints; only owned permits writing it in
-	// place (see own).
+	// lines[s*assoc : (s+1)*assoc].
 	lines []line
-	owned bool
 	assoc uint64
 	nsets uint64
 	// lineShift/setMask/setShift turn locate's divisions into shifts.
@@ -108,7 +105,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Assoc)
-	c := &Cache{cfg: cfg, assoc: uint64(cfg.Assoc), nsets: nsets}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*uint64(cfg.Assoc)), assoc: uint64(cfg.Assoc), nsets: nsets}
 	c.lineShift = uint(bits.TrailingZeros64(cfg.LineBytes))
 	if nsets&(nsets-1) == 0 {
 		c.setsPow2 = true
@@ -121,23 +118,7 @@ func New(cfg Config) *Cache {
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() uint64 { return c.cfg.LineBytes }
 
-// own is the cache's write barrier, called on entry to every method that
-// mutates lines: it allocates the array on first use (a branch machine
-// that only restores never pays for one) and copies an array still shared
-// with a checkpoint, so a shared array is never written in place.
-func (c *Cache) own() {
-	if c.owned {
-		return
-	}
-	if c.lines == nil {
-		c.lines = make([]line, c.nsets*c.assoc)
-	} else {
-		c.lines = append([]line(nil), c.lines...)
-	}
-	c.owned = true
-}
-
-// ways returns set's ways. The array must exist (see own).
+// ways returns set's ways.
 func (c *Cache) ways(set uint64) []line {
 	return c.lines[set*c.assoc : (set+1)*c.assoc]
 }
@@ -164,7 +145,6 @@ type Result struct {
 // any dirty eviction. Callers that need multi-line accesses should iterate
 // line by line (see AccessRange).
 func (c *Cache) Access(addr uint64, write bool) Result {
-	c.own()
 	set, tag := c.locate(addr)
 	c.clock++
 	ways := c.ways(set)
@@ -213,7 +193,6 @@ func (c *Cache) RepeatHit(addr uint64, n uint64, write bool) {
 	if n == 0 {
 		return
 	}
-	c.own()
 	set, tag := c.locate(addr)
 	ways := c.ways(set)
 	for i := range ways {
@@ -249,7 +228,6 @@ func (c *Cache) StreamRepeat(addrs, counts []uint64, writes []bool, k uint64) ui
 	if k == 0 || perRound == 0 {
 		return 0
 	}
-	c.own()
 	base := c.clock + (k-1)*perRound
 	var prefix uint64
 	for j, addr := range addrs {
@@ -283,7 +261,6 @@ func (c *Cache) InvalidateRange(addr, size uint64) uint64 {
 	if size == 0 {
 		return 0
 	}
-	c.own()
 	var dropped uint64
 	first := addr &^ (c.cfg.LineBytes - 1)
 	for a := first; a < addr+size; a += c.cfg.LineBytes {

@@ -59,20 +59,13 @@ func (s *FoldSnapshot) Stats() Stats { return s.stats }
 func (s *FoldSnapshot) Clock() uint64 { return s.clock }
 
 // SnapshotInto copies the cache's full replacement state into s, reusing
-// s's buffers when they are large enough. Unlike a checkpoint it is a real
-// copy: the fold layer compares it against the live array after the cache
-// has moved on.
+// s's buffers when they are large enough.
 func (c *Cache) SnapshotInto(s *FoldSnapshot) {
-	n := int(c.nsets * c.assoc)
-	if cap(s.lines) < n {
-		s.lines = make([]line, n)
+	if cap(s.lines) < len(c.lines) {
+		s.lines = make([]line, len(c.lines))
 	}
-	s.lines = s.lines[:n]
-	if c.lines == nil {
-		clear(s.lines)
-	} else {
-		copy(s.lines, c.lines)
-	}
+	s.lines = s.lines[:len(c.lines)]
+	copy(s.lines, c.lines)
 	s.clock = c.clock
 	s.stats = c.Stats
 }
@@ -151,7 +144,6 @@ func (c *Cache) VerifyFoldShift(prev *FoldSnapshot, touched []uint64, tagShift i
 // and its stamp by periods·clockDelta, and the LRU clock advances the same
 // way. Statistics are advanced separately via AddFoldStats.
 func (c *Cache) ApplyFoldShift(touched []uint64, tagShift int64, clockDelta, periods uint64) {
-	c.own()
 	dTag := uint64(tagShift) * periods
 	dLRU := clockDelta * periods
 	for s := uint64(0); s < c.nsets; s++ {

@@ -128,7 +128,7 @@ func measure(r *run.Runner, b apps.Benchmark, cfg radram.Config, pages float64) 
 }
 
 // serially returns a single-worker runner sharing r's metrics sink,
-// checkpoint cache, cancellation context, and progress tracker, for loops
+// result memo, cancellation context, and progress tracker, for loops
 // nested inside an already-parallel Map.
 func serially(r *run.Runner) *run.Runner {
 	if r == nil {

@@ -6,7 +6,6 @@ import (
 	"activepages/internal/apps/database"
 	"activepages/internal/apps/layout"
 	"activepages/internal/core"
-	"activepages/internal/mem"
 	"activepages/internal/radram"
 	"activepages/internal/run"
 	"activepages/internal/sim"
@@ -46,22 +45,19 @@ func SMPStudy(r *run.Runner, cfg radram.Config, pages float64, processors []int)
 	return f, nil
 }
 
-// smpTemplate is the per-study shared-data warm-up, built once: the page
-// blocking of the address book does not depend on the processor count, so
-// every sweep point restores the populated store from one checkpoint
-// instead of rebuilding and rewriting it.
+// smpTemplate is the per-study shared data, built once: the address book
+// does not depend on the processor count, so every sweep point writes the
+// same book into its cluster's store instead of regenerating it.
 type smpTemplate struct {
 	perPage  int
 	nRecords int
 	book     []byte
 	want     int
-	store    mem.Checkpoint
 }
 
-// newSMPTemplate lays the address book out into pages in a scratch store
-// and checkpoints it. The template covers the data-dependent part of a
-// sweep point's setup; the per-processor Active-Page views are still
-// built per point (they are the independent variable).
+// newSMPTemplate generates the address book and its expected query count.
+// The per-processor Active-Page views are still built per point (they are
+// the independent variable).
 func newSMPTemplate(cfg radram.Config, pages float64) *smpTemplate {
 	perPage := int((cfg.AP.PageBytes - layout.HeaderBytes) / workload.RecordBytes)
 	t := &smpTemplate{
@@ -70,16 +66,6 @@ func newSMPTemplate(cfg radram.Config, pages float64) *smpTemplate {
 	}
 	t.book = workload.SharedAddressBook(1998, t.nRecords)
 	t.want = workload.CountLastName(t.book, workload.QueryName())
-	st := mem.NewStore()
-	nPages := (t.nRecords + perPage - 1) / perPage
-	for pg := 0; pg < nPages; pg++ {
-		vaddr := uint64(layout.DataBase) + uint64(pg)*cfg.AP.PageBytes
-		lo := pg * perPage
-		hi := min(t.nRecords, lo+perPage)
-		st.Write(vaddr+layout.HeaderBytes,
-			t.book[lo*workload.RecordBytes:hi*workload.RecordBytes])
-	}
-	t.store = st.Checkpoint()
 	return t
 }
 
@@ -96,17 +82,13 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, 
 
 	// Shared data: one address book blocked into pages, as the database
 	// study lays it out. The degenerate sweep points where the book must
-	// grow to give every processor a record fall back to a cold build —
-	// their store contents depend on nProc, so the template does not
-	// apply.
+	// grow to give every processor a record generate their own — their
+	// book depends on nProc, so the template does not apply.
 	perPage := tpl.perPage
 	nRecords := max(tpl.nRecords, nProc)
 	book := tpl.book
 	want := tpl.want
-	fromTemplate := nRecords == tpl.nRecords
-	if fromTemplate {
-		cl.Store.Restore(tpl.store)
-	} else {
+	if nRecords != tpl.nRecords {
 		book = workload.SharedAddressBook(1998, nRecords)
 		want = workload.CountLastName(book, workload.QueryName())
 	}
@@ -127,9 +109,6 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, 
 			first[w] = pg
 		}
 		owned[w] = append(owned[w], p)
-		if fromTemplate {
-			continue // data already in the restored store
-		}
 		lo := pg * perPage
 		hi := min(nRecords, lo+perPage)
 		cl.Store.Write(vaddr+layout.HeaderBytes,

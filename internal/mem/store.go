@@ -11,7 +11,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // DefaultPageBytes is the paper's Active-Page superpage size: 512 Kbytes,
@@ -31,44 +30,21 @@ const frameMask = frameBytes - 1
 // address regions (source/destination streams) off the map lookup.
 const frameCacheSlots = 64
 
-// frame is one allocation granule. gen is the generation of the store that
-// created (or last copied) it; a store may write a frame in place only
-// while its own generation equals gen. Checkpoint retires the store's
-// generation, so a checkpoint holds only frames with retired generations:
-// read-only to the store it came from and to every store restored from
-// it, each of which copies a frame on its first write.
-type frame struct {
-	data []byte
-	gen  uint64
-}
-
-// frameCacheEntry caches a resolved frame. data == nil (and gen == 0) means
-// the slot is empty; gen mirrors the frame's generation for the write-path
-// check.
 type frameCacheEntry struct {
-	data []byte
-	idx  uint64
-	gen  uint64
+	frame []byte
+	idx   uint64
 }
-
-// generations issues store generations, process-wide, so no two stores
-// (nor one store before and after a checkpoint) ever hold the same one.
-var generations atomic.Uint64
 
 // Store is a sparse, byte-addressable simulated memory.
 //
 // The zero value is not usable; call NewStore.
 type Store struct {
-	frames map[uint64]frame
-	// gen is the store's current generation: frames tagged with it are
-	// private to the store, any other frame is shared copy-on-write.
-	gen uint64
+	frames map[uint64][]byte
 	// fcache is a direct-mapped cache of resolved frames, indexed by the low
 	// bits of the frame number, so runs of accesses over a few frames — the
 	// overwhelmingly common case on the simulator's load/store path — skip
-	// the map lookup. A store's frames are never freed and only replaced by
-	// the write barrier, which refreshes the slot, so entries stay valid
-	// for reads until Restore swaps the whole map.
+	// the map lookup. Frames are never freed, so entries need no
+	// invalidation. frame == nil means the slot is empty.
 	fcache [frameCacheSlots]frameCacheEntry
 	// moveBuf is the reusable bounce buffer for Move.
 	moveBuf []byte
@@ -78,49 +54,23 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{frames: make(map[uint64]frame), gen: generations.Add(1)}
+	return &Store{frames: make(map[uint64][]byte)}
 }
 
-// frame returns the frame containing addr for reading, allocating it if
-// needed.
+// frame returns the frame containing addr, allocating it if needed.
 func (s *Store) frame(addr uint64) []byte {
 	idx := addr / frameBytes
 	e := &s.fcache[idx&(frameCacheSlots-1)]
-	if e.data != nil && e.idx == idx {
-		return e.data
+	if e.frame != nil && e.idx == idx {
+		return e.frame
 	}
-	f, ok := s.frames[idx]
-	if !ok {
-		f = frame{data: make([]byte, frameBytes), gen: s.gen}
+	f := s.frames[idx]
+	if f == nil {
+		f = make([]byte, frameBytes)
 		s.frames[idx] = f
 		s.touched++
 	}
-	*e = frameCacheEntry{data: f.data, idx: idx, gen: f.gen}
-	return f.data
-}
-
-// wframe returns the frame containing addr for writing. It is the store's
-// one write barrier: every mutating accessor resolves its frame here, and a
-// frame still shared with a checkpoint is copied before it is returned. An
-// empty frame-cache slot has generation 0, which no store holds.
-func (s *Store) wframe(addr uint64) []byte {
-	e := &s.fcache[addr/frameBytes&(frameCacheSlots-1)]
-	if e.idx != addr/frameBytes || e.gen != s.gen {
-		return s.own(addr)
-	}
-	return e.data
-}
-
-// own is wframe's miss path: it resolves the frame containing addr into its
-// frame-cache slot, allocating it if needed, and replaces a shared frame
-// with a private copy.
-func (s *Store) own(addr uint64) []byte {
-	f := s.frame(addr)
-	if e := &s.fcache[addr/frameBytes&(frameCacheSlots-1)]; e.gen != s.gen {
-		f = append([]byte(nil), f...)
-		*e = frameCacheEntry{data: f, idx: e.idx, gen: s.gen}
-		s.frames[e.idx] = frame{data: f, gen: s.gen}
-	}
+	e.frame, e.idx = f, idx
 	return f
 }
 
@@ -134,7 +84,7 @@ func (s *Store) ByteAt(addr uint64) byte {
 
 // SetByte stores b at addr.
 func (s *Store) SetByte(addr uint64, b byte) {
-	s.wframe(addr)[addr&frameMask] = b
+	s.frame(addr)[addr&frameMask] = b
 }
 
 // Read copies len(p) bytes starting at addr into p.
@@ -151,7 +101,7 @@ func (s *Store) Read(addr uint64, p []byte) {
 // Write copies p into the store starting at addr.
 func (s *Store) Write(addr uint64, p []byte) {
 	for len(p) > 0 {
-		f := s.wframe(addr)
+		f := s.frame(addr)
 		off := addr & frameMask
 		n := copy(f[off:], p)
 		p = p[n:]
@@ -193,7 +143,7 @@ func (s *Store) Move(dst, src uint64, n uint64) {
 // Fill sets n bytes starting at addr to b.
 func (s *Store) Fill(addr uint64, n uint64, b byte) {
 	for n > 0 {
-		f := s.wframe(addr)
+		f := s.frame(addr)
 		off := addr & frameMask
 		c := min(n, frameBytes-off)
 		region := f[off : off+c]
@@ -227,7 +177,7 @@ func (s *Store) ReadU16(addr uint64) uint16 {
 // WriteU16 stores a 16-bit value at addr.
 func (s *Store) WriteU16(addr uint64, v uint16) {
 	if off := addr & frameMask; off <= frameBytes-2 {
-		binary.LittleEndian.PutUint16(s.wframe(addr)[off:], v)
+		binary.LittleEndian.PutUint16(s.frame(addr)[off:], v)
 		return
 	}
 	var b [2]byte
@@ -248,7 +198,7 @@ func (s *Store) ReadU32(addr uint64) uint32 {
 // WriteU32 stores a 32-bit value at addr.
 func (s *Store) WriteU32(addr uint64, v uint32) {
 	if off := addr & frameMask; off <= frameBytes-4 {
-		binary.LittleEndian.PutUint32(s.wframe(addr)[off:], v)
+		binary.LittleEndian.PutUint32(s.frame(addr)[off:], v)
 		return
 	}
 	var b [4]byte
@@ -269,7 +219,7 @@ func (s *Store) ReadU64(addr uint64) uint64 {
 // WriteU64 stores a 64-bit value at addr.
 func (s *Store) WriteU64(addr uint64, v uint64) {
 	if off := addr & frameMask; off <= frameBytes-8 {
-		binary.LittleEndian.PutUint64(s.wframe(addr)[off:], v)
+		binary.LittleEndian.PutUint64(s.frame(addr)[off:], v)
 		return
 	}
 	var b [8]byte
@@ -311,7 +261,7 @@ func (s *Store) WriteU16Slice(addr uint64, src []uint16) {
 			continue
 		}
 		n = min(n, uint64(len(src)))
-		f := s.wframe(addr)
+		f := s.frame(addr)
 		for i := uint64(0); i < n; i++ {
 			binary.LittleEndian.PutUint16(f[off+2*i:], src[i])
 		}
@@ -349,7 +299,7 @@ func (s *Store) WriteU32Slice(addr uint64, src []uint32) {
 			continue
 		}
 		n = min(n, uint64(len(src)))
-		f := s.wframe(addr)
+		f := s.frame(addr)
 		for i := uint64(0); i < n; i++ {
 			binary.LittleEndian.PutUint32(f[off+4*i:], src[i])
 		}
@@ -387,7 +337,7 @@ func (s *Store) WriteU64Slice(addr uint64, src []uint64) {
 			continue
 		}
 		n = min(n, uint64(len(src)))
-		f := s.wframe(addr)
+		f := s.frame(addr)
 		for i := uint64(0); i < n; i++ {
 			binary.LittleEndian.PutUint64(f[off+8*i:], src[i])
 		}

@@ -62,15 +62,6 @@ func (h *Histogram) Checkpoint() HistCheckpoint {
 	return HistCheckpoint{buckets: h.buckets, count: h.count, sum: h.sum}
 }
 
-// Restore overwrites the histogram's contents with a checkpoint, the
-// inverse of Checkpoint. A nil histogram ignores it.
-func (h *Histogram) Restore(c HistCheckpoint) {
-	if h == nil {
-		return
-	}
-	h.buckets, h.count, h.sum = c.buckets, c.count, c.sum
-}
-
 // Sub returns the element-wise difference c - prev. It is only meaningful
 // when prev was captured from the same histogram at an earlier time.
 func (c HistCheckpoint) Sub(prev HistCheckpoint) HistCheckpoint {

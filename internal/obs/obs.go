@@ -220,6 +220,17 @@ func (s Snapshot) WithPrefix(prefix string) Snapshot {
 	return out
 }
 
+// Bytes approximates the snapshot's host footprint: every name's bytes
+// plus an 8-byte value. Map overhead is not modeled; caches that budget
+// by it bound payload, not allocator truth.
+func (s Snapshot) Bytes() uint64 {
+	n := uint64(0)
+	for k := range s {
+		n += uint64(len(k)) + 8
+	}
+	return n
+}
+
 // Names returns the metric names in sorted order.
 func (s Snapshot) Names() []string {
 	names := make([]string, 0, len(s))

@@ -190,6 +190,12 @@ func (c *CPU) ComputeFP(n uint64) {
 	c.Stats.FPOps += n
 }
 
+// CancelPanic is the sentinel the cancellation hook throws to unwind a
+// simulated program mid-run. Simulated programs are plain Go call stacks
+// with no side channel for an error return, so the unwind is a panic;
+// run.Map recovers it and surfaces Err as an ordinary error.
+type CancelPanic struct{ Err error }
+
 // interruptMask paces the cancellation poll: one hook call per ~64K scalar
 // accesses, cheap enough to disappear into the access cost yet fine-grained
 // enough that a canceled point unwinds within a sliver of its runtime.

@@ -21,15 +21,15 @@ type PointEvent struct {
 
 // MeasureEvent describes one benchmark measurement completing inside a
 // sweep point: which kernel at which problem size, on which backend, how
-// each machine of the pair was satisfied (checkpoint outcome), and the
+// each machine of the pair was satisfied (memo outcome), and the
 // measurement's wall-clock cost.
 type MeasureEvent struct {
 	Benchmark string
 	Pages     float64
 	Backend   string
 	// ConvCheckpoint and APCheckpoint are "cold" (a full simulation ran),
-	// "branch" (restored from a cached checkpoint), or "" when the runner
-	// carries no checkpoint cache.
+	// "branch" (read from the result memo), or "" when the runner carries
+	// no memo.
 	ConvCheckpoint string
 	APCheckpoint   string
 	Start          time.Time
@@ -51,7 +51,8 @@ type ProgressSnapshot struct {
 	// zero or several).
 	Measures int64 `json:"measures"`
 	// CheckpointCold/Hit/Branch tally how the measurement machine runs
-	// were satisfied (two machine runs per measure; zero without a cache).
+	// were satisfied (two machine runs per measure; zero without a memo).
+	// A memo hit counts as both a hit and a branch.
 	CheckpointCold   int64 `json:"checkpoint_cold"`
 	CheckpointHit    int64 `json:"checkpoint_hit"`
 	CheckpointBranch int64 `json:"checkpoint_branch"`
@@ -192,7 +193,7 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 }
 
 // checkpointOutcome names how a machine run was satisfied for a
-// MeasureEvent: hit=true means a cached checkpoint branched.
+// MeasureEvent: hit=true means the result memo answered it.
 func checkpointOutcome(cached, hit bool) string {
 	switch {
 	case !cached:
@@ -205,8 +206,8 @@ func checkpointOutcome(cached, hit bool) string {
 }
 
 // NoteMeasure reports one completed benchmark measurement to the runner's
-// progress tracker, if any. cached reports whether a checkpoint cache was
-// in play; convHit/apHit whether each machine branched from it. Nil-safe
+// progress tracker, if any. cached reports whether a result memo was in
+// play; convHit/apHit whether it answered each machine's run. Nil-safe
 // on both the runner and its tracker, so the measurement layer calls it
 // unconditionally.
 func (r *Runner) NoteMeasure(benchmark string, pages float64, backend string,

@@ -26,13 +26,13 @@ type Runner struct {
 	// point (via InterruptHook wired into proc.CPU.Interrupt), so an
 	// abandoned run unwinds mid-point instead of simulating to completion.
 	Context context.Context
-	// Checkpoints, when set, deduplicates simulation runs across sweep
-	// points that share a canonical configuration (see CheckpointCache).
-	// Nil disables checkpoint/branch: every point simulates from cold.
+	// Checkpoints, when set, memoizes machine runs across sweep points
+	// that share a canonical configuration (see CheckpointCache). Nil
+	// disables the memo: every point simulates from cold.
 	Checkpoints *CheckpointCache
 	// Progress, when set, tracks the dispatch live: Map reports scheduled
 	// and completed points with wall-clock timing, and the measurement
-	// layer reports per-benchmark checkpoint outcomes. Nil (the batch-mode
+	// layer reports per-benchmark memo outcomes. Nil (the batch-mode
 	// default) disables all tracking — the runner then never reads the
 	// wall clock.
 	Progress *Progress
@@ -63,7 +63,7 @@ func (r *Runner) interrupted() error {
 	return r.Context.Err()
 }
 
-// CheckpointCache returns the runner's checkpoint cache, nil-safe.
+// CheckpointCache returns the runner's result memo, nil-safe.
 func (r *Runner) CheckpointCache() *CheckpointCache {
 	if r == nil {
 		return nil

@@ -15,9 +15,10 @@
 //     its own execution, so N concurrent identical submissions simulate
 //     exactly once.
 //
-// The run cache sits above the checkpoint cache (run.CheckpointCache):
-// two *distinct* specs that drive the same machines — say array with and
-// without the regions table — still share machine state one layer down.
+// The run cache sits above the machine-run result memo
+// (run.CheckpointCache): two *distinct* specs that drive the same
+// machines — say array with and without the regions table — still share
+// machine runs one layer down.
 // Spec keys are deliberately conservative: only defaulted knobs are
 // normalized, never knobs an experiment happens to ignore.
 
@@ -163,20 +164,11 @@ func (m *memoCache) stats() (entries int, bytes uint64) {
 }
 
 // artifactBytes approximates one result's host footprint: the output
-// bytes plus every snapshot entry's key and value. Map overhead is not
-// modeled; the budget is a bound on payload, not allocator truth.
+// bytes plus every snapshot's bytes (obs.Snapshot.Bytes).
 func artifactBytes(res *cachedRun) uint64 {
-	n := uint64(len(res.output)) + snapshotBytes(res.metrics)
+	n := uint64(len(res.output)) + res.metrics.Bytes()
 	for k, g := range res.groups {
-		n += uint64(len(k)) + snapshotBytes(g)
-	}
-	return n
-}
-
-func snapshotBytes(s obs.Snapshot) uint64 {
-	n := uint64(0)
-	for k := range s {
-		n += uint64(len(k)) + 8
+		n += uint64(len(k)) + g.Bytes()
 	}
 	return n
 }

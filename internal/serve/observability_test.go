@@ -276,6 +276,46 @@ func TestRetentionEviction(t *testing.T) {
 	}
 }
 
+// TestRunTableBounded finalizes many runs under RetainRuns 1: the run
+// table stays at the retained run plus tombstonesPerRetained tombstones,
+// the oldest id is forgotten (404), and a recent tombstone still answers
+// 410 on its output.
+func TestRunTableBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobsPerRun: 2, RetainRuns: 1}, true)
+
+	var ids []string
+	for i := 0; i < 12; i++ {
+		// After the first, every submission completes from the result
+		// cache: a full lifecycle with no simulation.
+		_, rn := submit(t, ts, `{"experiment":"array","quick":true}`)
+		if rn := waitDone(t, ts, rn.ID); rn.State != StateDone {
+			t.Fatalf("run %d: %s %s", i, rn.State, rn.Error)
+		}
+		ids = append(ids, rn.ID)
+	}
+
+	code, data := get(t, ts.URL+"/api/v1/runs")
+	var listing struct {
+		Runs []Run `json:"runs"`
+	}
+	if code != http.StatusOK || json.Unmarshal(data, &listing) != nil {
+		t.Fatalf("list: HTTP %d: %s", code, data)
+	}
+	if got, want := len(listing.Runs), 1+tombstonesPerRetained; got != want {
+		t.Fatalf("run table holds %d runs, want %d", got, want)
+	}
+	if code, _ := get(t, ts.URL+"/api/v1/runs/"+ids[0]); code != http.StatusNotFound {
+		t.Errorf("oldest run %s: HTTP %d, want 404", ids[0], code)
+	}
+	recent := ids[len(ids)-2]
+	if code, _ := get(t, ts.URL+"/api/v1/runs/"+recent+"/output"); code != http.StatusGone {
+		t.Errorf("recent tombstone %s output: HTTP %d, want 410", recent, code)
+	}
+	if pv := getProgress(t, ts, recent); !pv.Evicted {
+		t.Errorf("recent tombstone %s progress: %+v", recent, pv)
+	}
+}
+
 // TestPprofGated checks the profiling endpoints exist only behind the flag.
 func TestPprofGated(t *testing.T) {
 	_, off := newTestServer(t, Config{}, false)

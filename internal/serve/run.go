@@ -125,13 +125,20 @@ func (r *Run) view() Run {
 	return v
 }
 
+// tombstonesPerRetained sizes the tombstone cap as a multiple of the
+// artifact cap: a run stays answerable (410 on its artifacts, its
+// lifecycle and progress intact) for this many retention windows after its
+// artifacts go.
+const tombstonesPerRetained = 4
+
 // registry is the server's run table: id allocation, lookup, listing, and
 // retention. Completed and failed runs keep their artifacts (output,
 // metrics, trace) for the newest retain of them only: finalize evicts the
 // oldest terminal runs' artifacts beyond the cap, keeping each evicted
-// run's lifecycle record as a tombstone. That bounds artifact memory, not
-// the table: run records are never deleted, and every submission
-// (cache hits included) adds one.
+// run's lifecycle record as a tombstone. The newest
+// tombstonesPerRetained·retain tombstones are kept; an older one is
+// deleted from the table and its id answers 404. Live runs plus both caps
+// bound the table.
 type registry struct {
 	mu   sync.Mutex
 	next int
@@ -144,13 +151,18 @@ type registry struct {
 	// cost 1 each. It is never read with Get, so its recency order is
 	// completion order and eviction drops the oldest terminal run.
 	terminal *lru.Cache[string, *Run]
+	// tombstones holds the evicted runs the same way, in eviction order;
+	// a tombstone it evicts is deleted from runs.
+	tombstones *lru.Cache[string, *Run]
 }
 
 func newRegistry(retain int, instance string) *registry {
+	one := func(*Run) uint64 { return 1 }
 	return &registry{
-		runs:     make(map[string]*Run),
-		instance: instance,
-		terminal: lru.New[string](uint64(retain), func(*Run) uint64 { return 1 }),
+		runs:       make(map[string]*Run),
+		instance:   instance,
+		terminal:   lru.New[string](uint64(retain), one),
+		tombstones: lru.New[string](tombstonesPerRetained*uint64(retain), one),
 	}
 }
 
@@ -181,9 +193,10 @@ func (g *registry) add(req Request, spec, rid string, now time.Time, trace *obs.
 	return r
 }
 
-// finalize enters a terminal run into retention and turns the oldest
-// terminal runs beyond the cap into tombstones. It returns how many runs
-// were evicted by this call, for the server's counter.
+// finalize enters a terminal run into retention, turns the oldest
+// terminal runs beyond the cap into tombstones, and deletes the oldest
+// tombstones beyond theirs. It returns how many runs' artifacts were
+// evicted by this call, for the server's counter.
 func (g *registry) finalize(id string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -198,6 +211,9 @@ func (g *registry) finalize(id string) int {
 		r.metrics = nil
 		r.groups = nil
 		r.trace = nil
+		for _, old := range g.tombstones.Add(r.ID, r) {
+			delete(g.runs, old.ID)
+		}
 	}
 	return len(evicted)
 }

@@ -51,9 +51,9 @@ type Config struct {
 	JobsPerRun int
 	// RetainRuns caps how many completed or failed runs keep their
 	// artifacts: beyond it the oldest terminal runs are evicted oldest
-	// first — artifacts dropped, lifecycle tombstone kept. It bounds
-	// artifact memory only; run records are never deleted. Values <= 0
-	// use 256.
+	// first — artifacts dropped, lifecycle tombstone kept. Tombstones are
+	// capped at a fixed multiple of it (tombstonesPerRetained); older ones
+	// are deleted and answer 404. Values <= 0 use 256.
 	RetainRuns int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// wall-clock profiling of the daemon itself.
@@ -66,9 +66,10 @@ type Config struct {
 	// singleflight submission dedup off: every submission executes from
 	// cold. The always-recompute baseline for cache A/B measurements.
 	DisableCache bool
-	// DisableCheckpoints turns the daemon-wide checkpoint/branch cache off
-	// as well, so repeated submissions re-simulate every machine state —
-	// the fully cold baseline (combine with DisableCache for A/B timing).
+	// DisableCheckpoints turns the daemon-wide machine-run result memo
+	// (run.CheckpointCache) off as well, so repeated submissions
+	// re-simulate every machine — the fully cold baseline (combine with
+	// DisableCache for A/B timing).
 	DisableCheckpoints bool
 	// CacheBudget bounds the result cache's artifact bytes before LRU
 	// eviction; 0 selects DefaultCacheBudget.

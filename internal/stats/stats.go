@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the evaluation
 // harness needs: Pearson correlation (Table 4's model-vs-simulation
-// column), linear fits, and series summaries.
+// column) and series summaries.
 package stats
 
 import (
@@ -56,52 +56,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: zero variance input")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// LinearFit returns the least-squares slope and intercept of y on x.
-func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: bad fit input (%d, %d points)", len(xs), len(ys))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		sxy += (xs[i] - mx) * (ys[i] - my)
-		sxx += (xs[i] - mx) * (xs[i] - mx)
-	}
-	if sxx == 0 {
-		return 0, 0, fmt.Errorf("stats: degenerate x values")
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx, nil
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// MaxIndex returns the index of the maximum value, or -1 for empty input.
-func MaxIndex(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	_ = xs[best]
-	return best
 }

@@ -79,42 +79,3 @@ func TestPearsonProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(slope, 2) || !almost(intercept, 1) {
-		t.Fatalf("fit = %v, %v", slope, intercept)
-	}
-	if _, _, err := LinearFit([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Error("degenerate x accepted")
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if !almost(GeoMean([]float64{1, 100}), 10) {
-		t.Fatal("geomean wrong")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty geomean should be 0")
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("nonpositive input should yield 0")
-	}
-}
-
-func TestMaxIndex(t *testing.T) {
-	if MaxIndex(nil) != -1 {
-		t.Fatal("empty should be -1")
-	}
-	if MaxIndex([]float64{1, 5, 3}) != 1 {
-		t.Fatal("max index wrong")
-	}
-}
