@@ -15,7 +15,6 @@ package lcs
 
 import (
 	"fmt"
-	"sync"
 
 	"activepages/internal/apps"
 	"activepages/internal/apps/layout"
@@ -84,7 +83,7 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 	if n < 4 {
 		n = 4
 	}
-	a, b, want := sharedInput(n)
+	a, b, want := workload.SharedLCSInput(seed, n, M)
 
 	var got int
 	var err error
@@ -100,37 +99,6 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 		return fmt.Errorf("lcs: length %d, want %d", got, want)
 	}
 	return nil
-}
-
-// sharedInput memoizes the benchmark's sequence pair and reference answer
-// per problem size: the harness runs the kernel at many sizes for both
-// machine kinds, generation is deterministic, and LCSReference is an
-// O(n*M) dynamic program worth computing once. Returned slices are shared,
-// read-only.
-var (
-	inputMu   sync.Mutex
-	inputMemo map[int]*lcsInput
-)
-
-type lcsInput struct {
-	a, b []byte
-	want int
-}
-
-func sharedInput(n int) ([]byte, []byte, int) {
-	inputMu.Lock()
-	defer inputMu.Unlock()
-	if in, ok := inputMemo[n]; ok {
-		return in.a, in.b, in.want
-	}
-	if inputMemo == nil {
-		inputMemo = make(map[int]*lcsInput)
-	}
-	a := workload.DNA(seed, n)
-	b := workload.RelatedDNA(seed+1, workload.DNA(seed, M), 20)[:M]
-	in := &lcsInput{a: a, b: b, want: workload.LCSReference(a, b)}
-	inputMemo[n] = in
-	return in.a, in.b, in.want
 }
 
 // cell computes the LCS recurrence.

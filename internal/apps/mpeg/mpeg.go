@@ -14,7 +14,6 @@ package mpeg
 
 import (
 	"fmt"
-	"sync"
 
 	"activepages/internal/apps"
 	"activepages/internal/apps/layout"
@@ -66,7 +65,8 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 	if blocks < 1 {
 		blocks = 1
 	}
-	frame, want := sharedFrame(blocks)
+	frame := workload.SharedMPEGFrame(seed, blocks)
+	want := workload.SharedMPEGCorrected(seed, blocks)
 
 	var got []int16
 	var err error
@@ -84,31 +84,6 @@ func (Benchmark) Run(m *radram.Machine, pages float64) error {
 		}
 	}
 	return nil
-}
-
-// sharedFrame memoizes the benchmark's frame and reference answer per block
-// count: the harness runs the kernel at many sizes for both machine kinds,
-// and generation is deterministic. Returned slices are shared, read-only.
-var (
-	frameMu    sync.Mutex
-	frameMemo  map[int]*workload.MPEGFrame
-	frameWants map[int][]int16
-)
-
-func sharedFrame(blocks int) (*workload.MPEGFrame, []int16) {
-	frameMu.Lock()
-	defer frameMu.Unlock()
-	if f, ok := frameMemo[blocks]; ok {
-		return f, frameWants[blocks]
-	}
-	if frameMemo == nil {
-		frameMemo = make(map[int]*workload.MPEGFrame)
-		frameWants = make(map[int][]int16)
-	}
-	f := workload.NewMPEGFrame(seed, blocks)
-	frameMemo[blocks] = f
-	frameWants[blocks] = f.ApplyCorrectionReference()
-	return f, frameWants[blocks]
 }
 
 func saturate(v int32) int16 {

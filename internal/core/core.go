@@ -14,9 +14,9 @@
 //   - Activation is a series of memory-mapped writes: Activate charges the
 //     processor the dispatch work and the uncached control-word writes,
 //     then starts the bound function on the page's data.
-//   - Synchronization variables are modeled by Wait/Poll: the processor
-//     polls a page's sync variable and stalls — accounted as
-//     processor-memory non-overlap time — until the page completes.
+//   - Synchronization variables are modeled by Wait: the processor stalls
+//     — accounted as processor-memory non-overlap time — until the page
+//     completes, then pays one uncached read of its sync variable.
 //   - Inter-page references use the processor-mediated mechanism of
 //     Section 3: a function touching a non-local address raises an
 //     interrupt and the processor copies data between pages.
@@ -435,13 +435,6 @@ func (s *System) Activate(p *Page, fnName string, args ...uint64) error {
 	return nil
 }
 
-// Poll models one read of a page's synchronization variable: it charges an
-// uncached word read and reports whether the page has completed.
-func (s *System) Poll(p *Page) bool {
-	s.cpu.UncachedLoadU32(p.Base)
-	return p.doneAt <= s.cpu.Now()
-}
-
 // Wait blocks the processor until page p completes, paying any owed
 // mediation work first and accounting the remaining wait as non-overlap
 // time. It charges the final successful poll read.
@@ -449,24 +442,6 @@ func (s *System) Wait(p *Page) {
 	s.payMediation()
 	s.cpu.StallUntil(p.doneAt)
 	s.cpu.UncachedLoadU32(p.Base)
-}
-
-// WaitGroup waits for every page in the group.
-func (s *System) WaitGroup(id GroupID) error {
-	g := s.groups[id]
-	if g == nil {
-		return fmt.Errorf("core: wait: unknown group %q", id)
-	}
-	s.payMediation()
-	var last sim.Time
-	for _, p := range g.pages {
-		if p.doneAt > last {
-			last = p.doneAt
-		}
-	}
-	s.cpu.StallUntil(last)
-	s.cpu.UncachedLoadU32(g.pages[len(g.pages)-1].Base)
-	return nil
 }
 
 // payMediation charges the processor for accumulated inter-page interrupt

@@ -294,31 +294,14 @@ func TestParallelPagesOverlap(t *testing.T) {
 	for _, p := range pages {
 		s.Activate(p, "fill", 0, 10000, 5) // 100 us each
 	}
-	s.WaitGroup("g")
+	for _, p := range pages {
+		s.Wait(p)
+	}
 	total := s.CPU().Now()
 	// Eight pages in parallel should take ~100us + dispatch, nowhere near
 	// 800 us.
 	if total > 300*sim.Microsecond {
 		t.Fatalf("8 parallel pages took %v; they are not overlapping", total)
-	}
-}
-
-func TestPollChargesRead(t *testing.T) {
-	s := newSys(t)
-	p, _ := s.Alloc("g", 0)
-	s.Bind("g", &fillFn{})
-	s.Activate(p, "fill", 0, 50000, 5)
-	loads := s.CPU().Stats.Loads
-	done := s.Poll(p)
-	if done {
-		t.Fatal("page reported done immediately")
-	}
-	if s.CPU().Stats.Loads != loads+1 {
-		t.Fatal("poll did not charge a read")
-	}
-	s.Wait(p)
-	if !s.Poll(p) {
-		t.Fatal("page not done after Wait")
 	}
 }
 

@@ -33,9 +33,8 @@ func SMPStudy(r *run.Runner, cfg radram.Config, pages float64, processors []int)
 	for i, p := range processors {
 		f.X[i] = float64(p)
 	}
-	tpl := newSMPTemplate(cfg, pages)
 	y, err := run.Map(r, len(processors), func(i int) (float64, error) {
-		t, err := runSMPDatabase(r, cfg, pages, processors[i], tpl)
+		t, err := runSMPDatabase(r, cfg, pages, processors[i])
 		return t.Milliseconds(), err
 	})
 	if err != nil {
@@ -45,33 +44,9 @@ func SMPStudy(r *run.Runner, cfg radram.Config, pages float64, processors []int)
 	return f, nil
 }
 
-// smpTemplate is the per-study shared data, built once: the address book
-// does not depend on the processor count, so every sweep point writes the
-// same book into its cluster's store instead of regenerating it.
-type smpTemplate struct {
-	perPage  int
-	nRecords int
-	book     []byte
-	want     int
-}
-
-// newSMPTemplate generates the address book and its expected query count.
-// The per-processor Active-Page views are still built per point (they are
-// the independent variable).
-func newSMPTemplate(cfg radram.Config, pages float64) *smpTemplate {
-	perPage := int((cfg.AP.PageBytes - layout.HeaderBytes) / workload.RecordBytes)
-	t := &smpTemplate{
-		perPage:  perPage,
-		nRecords: int(pages * float64(perPage)),
-	}
-	t.book = workload.SharedAddressBook(1998, t.nRecords)
-	t.want = workload.CountLastName(t.book, workload.QueryName())
-	return t
-}
-
 // runSMPDatabase splits the database pages across an n-processor cluster
 // and returns the slowest processor's elapsed time.
-func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, tpl *smpTemplate) (sim.Time, error) {
+func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int) (sim.Time, error) {
 	if nProc < 1 {
 		return 0, fmt.Errorf("experiments: need at least one processor")
 	}
@@ -81,17 +56,12 @@ func runSMPDatabase(r *run.Runner, cfg radram.Config, pages float64, nProc int, 
 	}
 
 	// Shared data: one address book blocked into pages, as the database
-	// study lays it out. The degenerate sweep points where the book must
-	// grow to give every processor a record generate their own — their
-	// book depends on nProc, so the template does not apply.
-	perPage := tpl.perPage
-	nRecords := max(tpl.nRecords, nProc)
-	book := tpl.book
-	want := tpl.want
-	if nRecords != tpl.nRecords {
-		book = workload.SharedAddressBook(1998, nRecords)
-		want = workload.CountLastName(book, workload.QueryName())
-	}
+	// study lays it out, grown where needed to give every processor a
+	// record.
+	perPage := int((cfg.AP.PageBytes - layout.HeaderBytes) / workload.RecordBytes)
+	nRecords := max(int(pages*float64(perPage)), nProc)
+	book := workload.SharedAddressBook(1998, nRecords)
+	want := workload.CountLastName(book, workload.QueryName())
 	nPages := (nRecords + perPage - 1) / perPage
 
 	// Each processor owns a contiguous slice of pages via its own

@@ -52,10 +52,10 @@ func RequestID(ctx context.Context) string {
 	return v
 }
 
-// wallDuration converts a wall-clock duration into the simulated-time unit
+// WallDuration converts a wall-clock duration into the simulated-time unit
 // the histogram buckets use (picoseconds), so HTTP latencies land in the
 // same log2 bucket layout as every other histogram.
-func wallDuration(d time.Duration) sim.Duration {
+func WallDuration(d time.Duration) sim.Duration {
 	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
 }
 
@@ -162,7 +162,7 @@ func (m *Instrument) Handle(mux *http.ServeMux, pattern string, h http.HandlerFu
 		sw := &StatusWriter{ResponseWriter: w}
 		h(sw, r)
 		elapsed := time.Since(start)
-		hist.Observe(wallDuration(elapsed))
+		hist.Observe(WallDuration(elapsed))
 		m.requests.Inc()
 		if sw.status >= 500 {
 			m.errors.Inc()

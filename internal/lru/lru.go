@@ -1,8 +1,9 @@
 // Package lru is the repository's one bounded store: a mutex-guarded,
 // cost-budgeted least-recently-used cache with a singleflight fill. The
-// machine-run result memo, the daemon's result cache, the router's trace
-// store and the daemon's run retention and tombstones are all instances
-// of it, so exactly one piece of code chooses an eviction victim.
+// machine-run result memo, the benchmark input memo (workload.Shared*),
+// the daemon's result cache, the router's trace store and the daemon's run
+// retention and tombstones are all instances of it, so exactly one piece
+// of code chooses an eviction victim.
 //
 // Policy: every entry carries a cost, fixed when its value is stored.
 // Whenever the total cost exceeds the budget, the least recently used

@@ -109,21 +109,6 @@ func TestStraddlingScalarAccessors(t *testing.T) {
 	}
 }
 
-// TestFrameCacheCoherent proves the direct-mapped frame cache cannot serve
-// stale frames when many frames alias the same slot.
-func TestFrameCacheCoherent(t *testing.T) {
-	s := NewStore()
-	// 2*frameCacheSlots frames: every slot has two aliasing frames.
-	for i := uint64(0); i < 2*frameCacheSlots; i++ {
-		s.WriteU32(i*frameBytes, uint32(i))
-	}
-	for i := uint64(0); i < 2*frameCacheSlots; i++ {
-		if v := s.ReadU32(i * frameBytes); v != uint32(i) {
-			t.Fatalf("frame %d = %d", i, v)
-		}
-	}
-}
-
 // TestScalarAccessorsZeroAllocs pins the zero-allocation contract of the
 // data path once frames exist.
 func TestScalarAccessorsZeroAllocs(t *testing.T) {

@@ -25,31 +25,13 @@ const frameBytes = 16 * 1024
 
 const frameMask = frameBytes - 1
 
-// frameCacheSlots sizes the direct-mapped frame cache. Must be a power of
-// two. A handful of slots is enough to keep workloads that interleave a few
-// address regions (source/destination streams) off the map lookup.
-const frameCacheSlots = 64
-
-type frameCacheEntry struct {
-	frame []byte
-	idx   uint64
-}
-
 // Store is a sparse, byte-addressable simulated memory.
 //
 // The zero value is not usable; call NewStore.
 type Store struct {
 	frames map[uint64][]byte
-	// fcache is a direct-mapped cache of resolved frames, indexed by the low
-	// bits of the frame number, so runs of accesses over a few frames — the
-	// overwhelmingly common case on the simulator's load/store path — skip
-	// the map lookup. Frames are never freed, so entries need no
-	// invalidation. frame == nil means the slot is empty.
-	fcache [frameCacheSlots]frameCacheEntry
 	// moveBuf is the reusable bounce buffer for Move.
 	moveBuf []byte
-	// touched counts frames ever allocated, for footprint reporting.
-	touched uint64
 }
 
 // NewStore returns an empty store.
@@ -60,22 +42,13 @@ func NewStore() *Store {
 // frame returns the frame containing addr, allocating it if needed.
 func (s *Store) frame(addr uint64) []byte {
 	idx := addr / frameBytes
-	e := &s.fcache[idx&(frameCacheSlots-1)]
-	if e.frame != nil && e.idx == idx {
-		return e.frame
-	}
 	f := s.frames[idx]
 	if f == nil {
 		f = make([]byte, frameBytes)
 		s.frames[idx] = f
-		s.touched++
 	}
-	e.frame, e.idx = f, idx
 	return f
 }
-
-// FootprintBytes reports how much simulated memory has ever been touched.
-func (s *Store) FootprintBytes() uint64 { return s.touched * frameBytes }
 
 // ByteAt returns the byte at addr.
 func (s *Store) ByteAt(addr uint64) byte {

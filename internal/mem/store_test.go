@@ -129,13 +129,13 @@ func TestFill(t *testing.T) {
 
 func TestFootprint(t *testing.T) {
 	s := NewStore()
-	if s.FootprintBytes() != 0 {
-		t.Fatal("fresh store has footprint")
+	if len(s.frames) != 0 {
+		t.Fatal("fresh store has frames")
 	}
 	s.SetByte(0, 1)
 	s.SetByte(1000*frameBytes, 1)
-	if got := s.FootprintBytes(); got != 2*frameBytes {
-		t.Fatalf("footprint = %d, want %d", got, 2*frameBytes)
+	if got := len(s.frames); got != 2 {
+		t.Fatalf("frames = %d, want 2 (only touched frames are allocated)", got)
 	}
 }
 

@@ -470,11 +470,3 @@ func (c *CPU) MediationWork(d sim.Duration) {
 	c.now += d
 	c.Stats.MediationTime += d
 }
-
-// AdvanceTo moves the clock forward without accounting (used by harnesses
-// to align phases); it never moves backward.
-func (c *CPU) AdvanceTo(t sim.Time) {
-	if t > c.now {
-		c.now = t
-	}
-}

@@ -111,21 +111,6 @@ func TestMediationWork(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := newCPU()
-	c.AdvanceTo(100)
-	if c.Now() != 100 {
-		t.Fatal("advance failed")
-	}
-	c.AdvanceTo(50)
-	if c.Now() != 100 {
-		t.Fatal("advance moved backward")
-	}
-	if c.Stats.TotalTime() != 0 {
-		t.Fatal("AdvanceTo should not account time")
-	}
-}
-
 func TestComputeFP(t *testing.T) {
 	c := newCPU()
 	c.ComputeFP(100)

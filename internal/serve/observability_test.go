@@ -276,6 +276,26 @@ func TestRetentionEviction(t *testing.T) {
 	}
 }
 
+// TestInputMemoGauges runs a database sweep, which draws its address books
+// from the process-wide input memo, and checks that /metrics exports the
+// memo's entries and bytes.
+func TestInputMemoGauges(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobsPerRun: 2}, true)
+	_, rn := submit(t, ts, `{"experiment":"database","quick":true}`)
+	if rn := waitDone(t, ts, rn.ID); rn.State != StateDone {
+		t.Fatalf("run: %s %s", rn.State, rn.Error)
+	}
+	code, data := get(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: HTTP %d", code)
+	}
+	for _, name := range []string{"entries", "bytes"} {
+		if !regexp.MustCompile(`(?m)^ap_serve_input_memo_` + name + `_max [1-9]`).Match(data) {
+			t.Errorf("/metrics has no nonzero ap_serve_input_memo_%s_max", name)
+		}
+	}
+}
+
 // TestRunTableBounded finalizes many runs under RetainRuns 1: the run
 // table stays at the retained run plus tombstonesPerRetained tombstones,
 // the oldest id is forgotten (404), and a recent tombstone still answers

@@ -32,6 +32,7 @@ import (
 	"activepages/internal/radram"
 	"activepages/internal/report"
 	"activepages/internal/run"
+	"activepages/internal/workload"
 )
 
 // Config carries the daemon's knobs. The zero value of every field selects
@@ -187,6 +188,16 @@ func New(cfg Config) *Server {
 	})
 	s.live.Gauge("serve.cache_bytes", func() int64 {
 		_, b := s.memo.stats()
+		return int64(b)
+	})
+	// The input memo is process-wide: every Server in one process reads
+	// the same workload.Shared* store.
+	s.live.Gauge("serve.input_memo_entries", func() int64 {
+		n, _ := workload.InputMemoStats()
+		return int64(n)
+	})
+	s.live.Gauge("serve.input_memo_bytes", func() int64 {
+		_, b := workload.InputMemoStats()
 		return int64(b)
 	})
 	s.mw = httpmw.NewInstrument(s.log, s.live, "serve.")
@@ -372,7 +383,7 @@ func (s *Server) execute(id string) {
 		spec = r.spec
 	})
 	qw := now.Sub(queued)
-	s.queueWait.Observe(wallDuration(qw))
+	s.queueWait.Observe(httpmw.WallDuration(qw))
 	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", queued, qw)
 	trace.Log(now, "worker pickup", map[string]string{"queue_wait": qw.String()})
 	s.runsActive.Add(1)
@@ -411,7 +422,7 @@ func (s *Server) execute(id string) {
 	select {
 	case res := <-done:
 		elapsed := time.Since(now)
-		s.runNS.Observe(wallDuration(elapsed))
+		s.runNS.Observe(httpmw.WallDuration(elapsed))
 		trace.Span(obs.TIDWallLifecycle, "serve", "execute", now, elapsed)
 		if res.err != nil {
 			s.runsFailed.Inc()
@@ -637,7 +648,7 @@ func (s *Server) completeFromCache(w http.ResponseWriter, r *http.Request, req R
 	trace.Span(obs.TIDWallLifecycle, "serve", "queue_wait", now, 0)
 	trace.Span(obs.TIDWallLifecycle, "serve", "execute (cached)", started, elapsed)
 	trace.Log(started, "cache hit", map[string]string{"spec": spec})
-	s.runNS.Observe(wallDuration(elapsed))
+	s.runNS.Observe(httpmw.WallDuration(elapsed))
 	s.runsCompleted.Inc()
 	s.finish(rn.ID, StateDone, "", elapsed)
 	s.log.Info("run served from cache", "id", rn.ID,
